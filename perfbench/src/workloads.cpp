@@ -31,10 +31,7 @@ namespace {
 // it issues no prefetch at all, which would leave its cells hollow.
 constexpr std::uint64_t kSweepRecords = 50000;
 constexpr std::size_t kPoolLanes = 4;
-// One lane: with two, every tick waits at the quantum barrier for both
-// lanes, and over ten seeds on a shared 4-vCPU host records_per_s and the
-// tick p50 spread 0.21 of their median (pool scheduling is sweep-pooled's).
-constexpr std::size_t kServeLanes = 1;
+constexpr std::size_t kServeLanes = 2;
 constexpr int kMinPasses = 3;
 constexpr double kPaperAmatReductionPct = 24.3;
 
@@ -506,7 +503,6 @@ RunResult run_sweep(const RunOptions& opt, bool pooled) {
   std::unique_ptr<ThreadPool> pool;
   if (pooled) pool = std::make_unique<ThreadPool>(kPoolLanes);
   const std::size_t lanes = pooled ? kPoolLanes : 1;
-  const std::string kind_tag = pooled ? "sweep-pooled" : "sweep-serial";
 
   // Discarded warm-up on the next seed: settles the pool and the CPU
   // clocks, and its digest must differ from the timed seed's.
@@ -558,7 +554,7 @@ RunResult run_sweep(const RunOptions& opt, bool pooled) {
   r.report.set("cells_beyond_p90", "count", static_cast<double>(p90.beyond));
   r.report.set("highest_supported_percentile", "%",
                highest_supported_percentile(cell_ms.size(), {99.9, 99, 95, 90, 75, 50}));
-  expect(r, p90.supported, kind_tag + ": fewer than 10 cells beyond p90");
+  expect(r, p90.supported, opt.workload + ": fewer than 10 cells beyond p90");
 
   if (!opt.trace) {
     const auto resume = sweep_resume(first, opt.tmp_dir + "/resume", r);
