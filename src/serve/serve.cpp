@@ -149,20 +149,16 @@ void SessionServer::build_sim(Session& s) const {
       sim::prefetcher_kind_name(s.spec.kind));
 }
 
-void SessionServer::admit(Session& s) {
-  materialize(s);
-  build_sim(s);
-  if (config_.session_fault_rate > 0.0) {
-    s.drill = std::make_unique<fault::FaultInjector>(drill_plan_,
-                                                     kDrillStreamBase + s.id);
-  }
-  s.state = SessionState::kLive;
-  s.admit_tick = tick_;
-  ++live_count_;
-  ++counters_.admitted;
+void SessionServer::materialize_wave() {
+  // Each task reads only its own session's spec and writes only its own
+  // batch and fingerprint, so the wave fans out over the server's lanes.
+  for_each_ready(pool_.get(), wave_.size(),
+                 [this](std::size_t i) { materialize(sessions_[wave_[i]]); });
 }
 
 void SessionServer::admit_pending() {
+  // Phase 1 (serial, id order): every admission decision and its counters.
+  wave_.clear();
   for (Session& s : sessions_) {
     if (s.state != SessionState::kPending) continue;
     if (draining_) {
@@ -175,7 +171,24 @@ void SessionServer::admit_pending() {
       ++counters_.admission_defers;
       continue;
     }
-    admit(s);
+    s.state = SessionState::kLive;
+    s.admit_tick = tick_;
+    ++live_count_;
+    ++counters_.admitted;
+    wave_.push_back(static_cast<std::uint32_t>(s.id));
+  }
+  // Phase 2 (parallel): trace, batch and fingerprint of the admitted wave.
+  materialize_wave();
+  // Phase 3 (serial, id order): simulators and drill injectors stay on the
+  // calling thread. Built on pool workers, freed simulator tables linger in
+  // glibc's per-thread arenas and peak RSS grows (DESIGN.md §15).
+  for (const std::uint32_t idx : wave_) {
+    Session& s = sessions_[idx];
+    build_sim(s);
+    if (config_.session_fault_rate > 0.0) {
+      s.drill = std::make_unique<fault::FaultInjector>(drill_plan_,
+                                                       kDrillStreamBase + s.id);
+    }
   }
 }
 
@@ -582,11 +595,10 @@ void SessionServer::reset_runtime() {
   }
 }
 
-void SessionServer::restore_session(Session& s) {
-  materialize(s);
+void SessionServer::restore_session(Session& s, std::uint64_t pinned) {
   // The envelope's fingerprint pins the trace this session was serving; a
   // regeneration mismatch means the generator or spec drifted under us.
-  if (s.fingerprint != sim::trace_fingerprint(s.batch)) {
+  if (s.fingerprint != pinned) {
     throw snapshot::SnapshotError("session " + std::to_string(s.id) +
                                   ": trace fingerprint mismatch at resume");
   }
@@ -703,11 +715,22 @@ bool SessionServer::try_resume() {
       const auto payload = snapshot::read_file(path);
       snapshot::Reader r(payload);
       decode_envelope(r);
-      // Envelope accepted: rebuild the heavy state of every non-terminal
-      // admitted session and the summary fold of every completed one.
+      // Envelope accepted: regenerate every non-terminal admitted session's
+      // trace in one fan-out (materialize touches no file), then restore
+      // serially in id order so the VFS sees the same operation sequence
+      // at any thread count.
+      wave_.clear();
+      std::vector<std::uint64_t> pinned;
+      for (const Session& s : sessions_) {
+        if (!active(s)) continue;
+        wave_.push_back(static_cast<std::uint32_t>(s.id));
+        pinned.push_back(s.fingerprint);
+      }
+      materialize_wave();
+      std::size_t slot = 0;
       for (Session& s : sessions_) {
         if (active(s)) {
-          restore_session(s);
+          restore_session(s, pinned[slot++]);
           ++live_count_;
         } else if (s.state == SessionState::kCompleted) {
           fold_into_summary(s);

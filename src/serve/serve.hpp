@@ -33,7 +33,10 @@
 //     current/.prev retention. A restarted server resumes every live
 //     session bit-identically: envelope current, then .prev, then cold; per
 //     session its snapshot, then .prev, then a cold replay of the already-
-//     fed prefix. planaria-audit --stage serve kills a fleet at seeded
+//     fed prefix. Resume regenerates every live session's trace in one
+//     parallel fan-out, then restores the sessions serially in id order,
+//     so the storage layer sees the same operations at any thread count.
+//     planaria-audit --stage serve kills a fleet at seeded
 //     ticks and requires byte-identical outcomes, summaries and counters
 //     versus the uninterrupted run, at 1 and 4 threads.
 //   * Graceful drain. request_drain() stops admissions (pending sessions
@@ -42,7 +45,9 @@
 //     was fully ingested, else kDrained with a partial result); a final
 //     checkpoint lands; zero records remain queued.
 //
-// Within a tick: admit (serial, id order) -> ingest (serial, id order) ->
+// Within a tick: admit (select serial in id order; materialize traces in
+// parallel over the pool; build simulators and drills serial in id order on
+// the calling thread) -> ingest (serial, id order) ->
 // run one quantum per runnable session (parallel over the pool; each task
 // touches only its own session) -> post-pass (serial, id order: counters,
 // fault/backoff/shed, completions, deadlines) -> checkpoint if due. All
@@ -277,8 +282,9 @@ class SessionServer {
 
   void start();
   void admit_pending();
-  void admit(Session& s);
   void materialize(Session& s) const;  ///< trace + batch + fingerprint
+  /// Runs materialize over every session in wave_, fanned over the lanes.
+  void materialize_wave();
   void build_sim(Session& s) const;    ///< fresh Simulator for this session
   void ingest_all();
   std::size_t collect_runnable();
@@ -306,7 +312,9 @@ class SessionServer {
   void decode_envelope(snapshot::Reader& r);
   bool try_resume();
   void reset_runtime();
-  void restore_session(Session& s);
+  /// `pinned` is the envelope's fingerprint, checked against the trace
+  /// materialize_wave() regenerated.
+  void restore_session(Session& s, std::uint64_t pinned);
   void remove_session_snapshots(std::uint64_t id) const;
 
   ServeConfig config_;
@@ -314,6 +322,7 @@ class SessionServer {
   std::unique_ptr<common::ThreadPool> pool_;  ///< null when threads == 1
   std::vector<Session> sessions_;
   std::vector<std::uint32_t> run_;  ///< this tick's runnable slots (id order)
+  std::vector<std::uint32_t> wave_;  ///< sessions to materialize (id order)
   std::uint64_t tick_ = 0;
   std::size_t live_count_ = 0;
   bool started_ = false;

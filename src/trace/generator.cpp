@@ -384,9 +384,24 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
   if (wsum <= 0.0) throw std::invalid_argument("generate_app_trace: weights");
 
   const Cycle horizon = records * app.mean_gap;
-  const auto budget = [&](double w) {
-    return static_cast<std::uint64_t>(static_cast<double>(records) * w / wsum);
-  };
+  // Per-component record budgets, floored by weight; the last armed
+  // component absorbs the floors' remainder so the trace holds exactly
+  // `records` records.
+  enum { kFootprint, kNeighbor, kStream, kIrregular, kComponents };
+  const double weights[kComponents] = {app.weight_footprint,
+                                       app.weight_neighbor, app.weight_stream,
+                                       app.weight_irregular};
+  std::uint64_t budgets[kComponents] = {};
+  std::uint64_t assigned = 0;
+  int last = -1;
+  for (int c = 0; c < kComponents; ++c) {
+    if (weights[c] <= 0.0) continue;
+    budgets[c] = static_cast<std::uint64_t>(static_cast<double>(records) *
+                                            weights[c] / wsum);
+    assigned += budgets[c];
+    last = c;
+  }
+  budgets[last] += records - assigned;
 
   Rng rng_fp(app.seed * 4 + 1);
   Rng rng_nb(app.seed * 4 + 2);
@@ -400,22 +415,20 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
   const double b = app.burstiness;
   if (app.weight_footprint > 0.0) {
     streams.push_back(generate_footprint(
-        app.footprint,
-        Pacing{budget(app.weight_footprint), horizon, 0, 0.5, b}, rng_fp));
+        app.footprint, Pacing{budgets[kFootprint], horizon, 0, 0.5, b},
+        rng_fp));
   }
   if (app.weight_neighbor > 0.0) {
     streams.push_back(generate_neighbor(
-        app.neighbor, Pacing{budget(app.weight_neighbor), horizon, 0, 0.5, b},
-        rng_nb));
+        app.neighbor, Pacing{budgets[kNeighbor], horizon, 0, 0.5, b}, rng_nb));
   }
   if (app.weight_stream > 0.0) {
     streams.push_back(generate_stream(
-        app.stream, Pacing{budget(app.weight_stream), horizon, 6, 0.5, b},
-        rng_st));
+        app.stream, Pacing{budgets[kStream], horizon, 6, 0.5, b}, rng_st));
   }
   if (app.weight_irregular > 0.0) {
     streams.push_back(generate_irregular(
-        app.irregular, Pacing{budget(app.weight_irregular), horizon, 8, 0.5, b},
+        app.irregular, Pacing{budgets[kIrregular], horizon, 8, 0.5, b},
         rng_ir));
   }
   return merge_sorted(streams);

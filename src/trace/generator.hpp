@@ -133,7 +133,8 @@ struct AppProfile {
   std::uint64_t seed = 1;
 };
 
-/// Generates a complete merged bus trace of `records` entries for `app`.
+/// Generates a complete merged bus trace of exactly `records` entries for
+/// `app`.
 /// Throws std::invalid_argument on non-positive weights/records. Pure: all
 /// RNG state is derived locally from app.seed, so concurrent calls are safe
 /// and output depends only on (app, records).

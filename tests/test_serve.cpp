@@ -57,11 +57,11 @@ serve::ServeConfig small_config() {
   return config;
 }
 
-std::vector<serve::SessionSpec> small_fleet() {
+std::vector<serve::SessionSpec> fleet_of(std::uint64_t tenants) {
   std::vector<serve::SessionSpec> fleet;
   const char* apps[] = {"HoK", "Fort", "TikT"};
   const char* devices[] = {"phone", "tablet"};
-  for (std::uint64_t i = 0; i < 6; ++i) {
+  for (std::uint64_t i = 0; i < tenants; ++i) {
     serve::SessionSpec spec;
     spec.app = apps[i % 3];
     spec.kind = i % 2 == 0 ? sim::PrefetcherKind::kPlanaria
@@ -72,6 +72,8 @@ std::vector<serve::SessionSpec> small_fleet() {
   }
   return fleet;
 }
+
+std::vector<serve::SessionSpec> small_fleet() { return fleet_of(6); }
 
 /// The identities every finished serve must satisfy: terminal-state
 /// partition and record conservation (nothing dropped silently).
@@ -153,6 +155,53 @@ TEST(Serve, ThreadCountIsInvisible) {
   EXPECT_TRUE(serial.outcomes() == pooled.outcomes());
   EXPECT_TRUE(serial.counters() == pooled.counters());
   EXPECT_TRUE(serial.summary() == pooled.summary());
+}
+
+/// Admission and resume waves wider than any lane count under test: twelve
+/// tenants against six live slots, drills armed, checkpointing optional.
+serve::ServeConfig wide_wave_config(const std::string& checkpoint_dir = "") {
+  serve::ServeConfig config = small_config();
+  config.max_live_sessions = 6;
+  config.session_fault_rate = 0.05;
+  config.max_attempts = 50;
+  config.checkpoint_dir = checkpoint_dir;
+  config.checkpoint_every_ticks = checkpoint_dir.empty() ? 0 : 4;
+  return config;
+}
+
+TEST(Serve, WideAdmissionWavesAreThreadCountInvisible) {
+  serve::SessionServer serial(wide_wave_config(), 1);
+  serial.add_fleet(fleet_of(12));
+  serial.serve();
+  EXPECT_GT(serial.counters().drills_injected, 0u);
+  EXPECT_GT(serial.counters().admission_defers, 0u);
+  expect_reconciled(serial);
+  for (const std::size_t threads : {2u, 4u}) {
+    serve::SessionServer pooled(wide_wave_config(), threads);
+    pooled.add_fleet(fleet_of(12));
+    pooled.serve();
+    EXPECT_TRUE(serial.outcomes() == pooled.outcomes()) << threads;
+    EXPECT_TRUE(serial.counters() == pooled.counters()) << threads;
+    EXPECT_TRUE(serial.summary() == pooled.summary()) << threads;
+  }
+}
+
+TEST(Serve, NonRoundSessionLengthCompletes) {
+  // 32768 records: the length at which the generator once came up short
+  // and the server aborted on the run_sharded range contract.
+  serve::ServeConfig config = small_config();
+  config.records_per_session = 32768;
+  config.queue_capacity = 8192;
+  config.ingest_per_tick = 4096;
+  config.quantum_records = 4096;
+  serve::SessionServer server(config, 2);
+  server.add_fleet(fleet_of(3));
+  server.serve();
+  for (const auto& o : server.outcomes()) {
+    EXPECT_EQ(o.state, serve::SessionState::kCompleted) << "session " << o.id;
+    EXPECT_EQ(o.records_fed, 32768u);
+  }
+  expect_reconciled(server);
 }
 
 TEST(Serve, DrillFaultsDelaySchedulingButNotResults) {
@@ -293,6 +342,43 @@ TEST_F(ServeTest, KilledServerResumesBitIdentically) {
   EXPECT_TRUE(resumed.counters() == reference.counters());
   EXPECT_TRUE(resumed.summary() == reference.summary());
   expect_reconciled(resumed);
+}
+
+TEST_F(ServeTest, WideWaveResumeAtFourThreadsMatchesSerialRun) {
+  serve::SessionServer reference(wide_wave_config(subdir("ref")), 1);
+  reference.add_fleet(fleet_of(12));
+  reference.serve();
+
+  // The same kill, resumed once serially and once over four lanes: the
+  // resume fan-out must not change what is restored or how.
+  std::vector<serve::RecoveryStats> trails;
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string dir =
+        subdir(threads == 1 ? "killed-serial" : "killed-pooled");
+    {
+      serve::SessionServer victim(wide_wave_config(dir), 1);
+      victim.add_fleet(fleet_of(12));
+      // Tick 8 writes a checkpoint with six sessions live.
+      for (int i = 0; i < 9; ++i) ASSERT_TRUE(victim.tick());
+    }
+    serve::SessionServer resumed(wide_wave_config(dir), threads);
+    resumed.add_fleet(fleet_of(12));
+    resumed.serve();
+    EXPECT_TRUE(resumed.outcomes() == reference.outcomes()) << threads;
+    EXPECT_TRUE(resumed.counters() == reference.counters()) << threads;
+    EXPECT_TRUE(resumed.summary() == reference.summary()) << threads;
+    expect_reconciled(resumed);
+    trails.push_back(resumed.recovery());
+  }
+  const serve::RecoveryStats& serial = trails[0];
+  const serve::RecoveryStats& pooled = trails[1];
+  EXPECT_TRUE(pooled.resumed);
+  EXPECT_EQ(pooled.resumed_tick, 8u);
+  EXPECT_GT(pooled.sessions_restored, 4u);  // a wave wider than the lanes
+  EXPECT_EQ(pooled.resumed_tick, serial.resumed_tick);
+  EXPECT_EQ(pooled.sessions_restored, serial.sessions_restored);
+  EXPECT_EQ(pooled.sessions_fell_back, serial.sessions_fell_back);
+  EXPECT_EQ(pooled.sessions_replayed, serial.sessions_replayed);
 }
 
 TEST_F(ServeTest, CorruptEnvelopeFallsBackToPrev) {

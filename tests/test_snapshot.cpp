@@ -96,6 +96,33 @@ TEST(SnapshotCodec, PrimitivesRoundTrip) {
   r.require_end();
 }
 
+/// Byte-at-a-time CRC32 (reflected IEEE polynomial), computed bit by bit:
+/// the reference the table-driven snapshot::crc32 must reproduce exactly.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCodec, Crc32MatchesBytewiseReference) {
+  const char check[] = "123456789";
+  EXPECT_EQ(snapshot::crc32(check, 9), 0xCBF43926u);  // the standard check value
+  Rng rng(0xC0C0);
+  std::vector<std::uint8_t> buf(4096 + 16);
+  for (auto& byte : buf) byte = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    // Every start offset mod 8 is covered, so the 8-byte main loop meets
+    // every misalignment and every tail length.
+    const std::size_t offset = (len * 5 + rng.next_below(8)) % 16;
+    const std::uint8_t* p = buf.data() + offset;
+    ASSERT_EQ(snapshot::crc32(p, len), crc32_bytewise(p, len))
+        << "len " << len << " offset " << offset;
+  }
+}
+
 TEST(SnapshotCodec, ReaderRejectsMalformedInput) {
   {
     snapshot::Reader r(nullptr, 0);

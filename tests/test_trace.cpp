@@ -298,9 +298,20 @@ TEST(IrregularGenerator, RejectsBadParams) {
 TEST(AppTrace, GeneratesMergedSortedTrace) {
   AppProfile app = app_by_name("HoK");
   const auto out = generate_app_trace(app, 20000);
-  EXPECT_GE(out.size(), 19000u);  // budget rounding may trim a little
+  EXPECT_EQ(out.size(), 20000u);
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out[i].arrival, out[i - 1].arrival);
+  }
+}
+
+TEST(AppTrace, LengthIsExactForEveryApp) {
+  // Lengths whose per-component weight budgets do not floor to a whole sum:
+  // the remainder must land on a component, not vanish.
+  for (const std::uint64_t n : {32768ull, 12345ull, 99999ull}) {
+    for (const AppProfile& app : paper_apps()) {
+      EXPECT_EQ(generate_app_trace(app, n).size(), n)
+          << app.name << " at " << n << " records";
+    }
   }
 }
 
