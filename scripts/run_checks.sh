@@ -39,9 +39,14 @@
 #                 quarantine + cold start) under each storm, scrub/repair
 #                 with exact counts, and the serving loop's degraded
 #                 checkpoint ledger under injected ENOSPC
-#   9. tsan     — TSan build of the parallel sweep tests, run with a 4-lane
+#   9. perfbench — python3 perfbench/run.py --selftest: builds the repository
+#                 benchmark from src/ into .bench_build/ and runs its
+#                 self-tests (percentiles, span timing, digest stability,
+#                 metric names), so an API change that breaks the benchmark
+#                 fails here
+#  10. tsan     — TSan build of the parallel sweep tests, run with a 4-lane
 #                 PLANARIA_THREADS pool
-#  10. tidy     — clang-tidy over src/ against the compilation database
+#  11. tidy     — clang-tidy over src/ against the compilation database
 #                 (skipped with a notice if clang-tidy is not installed)
 #
 # Every stage runs even if an earlier one fails; each stage runs under a
@@ -136,6 +141,10 @@ stage_storm() {
   "$AUDIT" --stage storm
 }
 
+stage_perfbench() {
+  python3 perfbench/run.py --selftest
+}
+
 stage_tsan() {
   cmake -B build-tsan -S . -DPLANARIA_WERROR=ON \
     -DPLANARIA_SANITIZE=thread >/dev/null
@@ -167,6 +176,7 @@ run_stage chaos 900 stage_chaos
 run_stage crash 1200 stage_crash
 run_stage serve 900 stage_serve
 run_stage storm 900 stage_storm
+run_stage perfbench 600 stage_perfbench
 
 if [[ "$SKIP_TSAN" -eq 0 ]]; then
   run_stage tsan 1800 stage_tsan

@@ -140,9 +140,9 @@ class SystemCache {
   const Line* find(std::uint64_t block) const;
   void track_pollution_eviction(std::uint64_t block);
 
-  // Static dispatch for the default policy (same trick as the simulator's
-  // channel kernels): when the configured policy is LRU, lru_ aliases
-  // policy_ and the per-access recency update inlines to a stamp store.
+  // Static dispatch for the default policy: when the configured policy is
+  // LRU, lru_ aliases policy_ and the per-access recency update inlines to a
+  // stamp store.
   void policy_on_hit(std::uint32_t set, int way) {
     if (lru_ != nullptr) {
       lru_->LruPolicy::on_hit(set, way);

@@ -1,7 +1,7 @@
 // Storage VFS: every file the system writes or reads goes through here.
 //
 // The resilience layers above (snapshot envelopes, checkpoint rotation, the
-// serve envelope, PLTB trace containers, sweep cells, the bench trajectory)
+// serve envelope, trace files, sweep cells, the bench trajectory)
 // were built on an I/O substrate they trusted blindly: rename without fsync,
 // error codes dropped, no failure path at all on appends. This module is the
 // single choke point that fixes both halves of that problem:
@@ -170,7 +170,7 @@ class ScopedFaultInjector {
 
 /// One contiguous piece of a file image. write_file_durable takes a list of
 /// spans so callers with a separately-held header and payload (the snapshot
-/// envelope, the PLTB container) need not concatenate them first.
+/// envelope) need not concatenate them first.
 struct ByteSpan {
   const void* data = nullptr;
   std::size_t size = 0;

@@ -4,9 +4,9 @@
 // atomic file envelope; this layer decides *when* to checkpoint and *what* to
 // trust at restart. A checkpointed run:
 //
-//   * feeds the trace in `every`-record chunks through the range form of
+//   * feeds the trace (one TraceBatch) in `every`-record chunks through
 //     Simulator::run_sharded (chunked execution is bit-identical to a single
-//     call — see the contract on that overload);
+//     call — see the contract on that method);
 //   * after each full chunk rotates <label>.snap to <label>.snap.prev and
 //     atomically writes a fresh <label>.snap, so at every instant the
 //     directory holds at least one complete snapshot (last-good retention);
@@ -42,7 +42,8 @@ struct CheckpointConfig {
   std::string prev_path() const { return current_path() + ".prev"; }
 
   /// Reads PLANARIA_CHECKPOINT_DIR and PLANARIA_CHECKPOINT_EVERY; either
-  /// unset (or an unparsable interval) leaves checkpointing disabled.
+  /// unset, or an interval that is not a plain unsigned decimal ("-5",
+  /// "12x"), leaves checkpointing disabled.
   static CheckpointConfig from_env();
 };
 
@@ -96,11 +97,6 @@ ScrubReport scrub_checkpoints(const CheckpointConfig& ckpt);
 /// sample of records (every (n/4096)-th, so the cost is flat) combined with
 /// the record count. A snapshot taken against a different trace fails this
 /// check at load time instead of producing subtly wrong results.
-std::uint64_t trace_fingerprint(const std::vector<trace::TraceRecord>& records);
-
-/// Columnar form. Produces the *identical* value to the vector overload on
-/// the same logical trace — resume validation must not care which container
-/// the caller happened to hold.
 std::uint64_t trace_fingerprint(const trace::TraceBatch& batch);
 
 /// Serializes `sim` plus the resume envelope (cursor, trace fingerprint) and
@@ -122,18 +118,8 @@ std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
 /// snapshot when `ckpt` is enabled (current, then .prev, else cold start —
 /// see RecoveryReport), then feeds the remaining records chunk by chunk with
 /// a checkpoint after every full chunk. Disabled `ckpt` degenerates to one
-/// chunk and no files. `report`, when non-null, receives the recovery trail.
-SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
-                           std::string prefetcher_name,
-                           const std::vector<trace::TraceRecord>& records,
-                           const CheckpointConfig& ckpt,
-                           common::ThreadPool* pool = nullptr,
-                           RecoveryReport* report = nullptr);
-
-/// Columnar form: feeds chunks through the TraceBatch span overload of
-/// Simulator::run_sharded. Bit-identical to the vector form on the same
-/// logical trace (same fingerprint, same chunking, same admission order), so
-/// a snapshot written by one is resumable by the other.
+/// chunk, no files and no trace fingerprint. `report`, when non-null,
+/// receives the recovery trail.
 SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
                            std::string prefetcher_name,
                            const trace::TraceBatch& batch,
@@ -145,8 +131,7 @@ SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
 /// snapshot::SnapshotError if it is missing or invalid — no fallback) and
 /// completes the run. Bit-identical to the uninterrupted run.
 SimResult resume(const SimConfig& config, PrefetcherFactory factory,
-                 std::string prefetcher_name,
-                 const std::vector<trace::TraceRecord>& records,
+                 std::string prefetcher_name, const trace::TraceBatch& batch,
                  const std::string& path, common::ThreadPool* pool = nullptr);
 
 }  // namespace planaria::sim

@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,9 +16,11 @@ namespace planaria::sim {
 std::uint64_t records_from_env(std::uint64_t fallback) {
   const char* env = std::getenv("PLANARIA_RECORDS");
   if (env == nullptr || *env == '\0') return fallback;
+  // strtoull accepts a sign and wraps "-1" to 2^64-1: demand a leading digit.
   char* end = nullptr;
   const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) {
+  if (std::isdigit(static_cast<unsigned char>(*env)) == 0 || *end != '\0' ||
+      v == 0) {
     throw std::invalid_argument("PLANARIA_RECORDS must be a positive integer");
   }
   return static_cast<std::uint64_t>(v);

@@ -77,14 +77,6 @@ class TraceBatch {
                        meta_device(meta_[i])};
   }
 
-  /// AoS round-trip, for interchange with the record-based APIs.
-  std::vector<TraceRecord> to_records() const {
-    std::vector<TraceRecord> out;
-    out.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) out.push_back(record(i));
-    return out;
-  }
-
   friend bool operator==(const TraceBatch&, const TraceBatch&) = default;
 
  private:

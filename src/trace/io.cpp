@@ -1,23 +1,12 @@
 #include "trace/io.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PLANARIA_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "check/contract.hpp"
 #include "io/vfs.hpp"
@@ -185,204 +174,17 @@ std::vector<TraceRecord> read_binary(std::istream& is, RecoveryPolicy policy,
 std::vector<TraceRecord> read_binary_file(const std::string& path,
                                           RecoveryPolicy policy,
                                           TraceReadReport* report) {
-  // lint: suppress(io-raw-stream) read-only trace ingest; every batch is CRC-guarded below, so rot is detected without the VFS read shim
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail("cannot open for read: " + path);
-  return read_binary(is, policy, report);
-}
-
-namespace {
-
-struct BatchHeader {
-  std::uint32_t magic;
-  std::uint16_t version;
-  std::uint16_t flags;
-  std::uint64_t count;
-  std::uint32_t payload_crc;
-  std::uint32_t reserved0;
-  std::uint64_t reserved1;
-};
-static_assert(sizeof(BatchHeader) == 32,
-              "columns after the header must stay 8-aligned");
-
-/// CRC-32 (IEEE 802.3, same polynomial as the snapshot envelope). The trace
-/// layer sits below src/snapshot in the module DAG, so it carries its own
-/// copy of the 40-line table routine rather than an upward dependency.
-std::uint32_t trace_crc32(const std::uint8_t* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-}  // namespace
-
-void write_batch(std::ostream& os, const TraceBatch& batch) {
-  const std::uint64_t n = batch.size();
-  BatchHeader h{};
-  h.magic = kBatchMagic;
-  h.version = kBatchVersion;
-  h.count = n;
-  // Stage the payload image once so the CRC is computed over exactly the
-  // bytes written (the three columns are separate vectors in memory).
-  std::vector<std::uint8_t> payload;
-  payload.reserve(n * (sizeof(Address) + sizeof(Cycle) + 1));
-  const auto append = [&payload](const void* p, std::size_t len) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    payload.insert(payload.end(), bytes, bytes + len);
-  };
-  append(batch.addresses(), n * sizeof(Address));
-  append(batch.arrivals(), n * sizeof(Cycle));
-  append(batch.meta(), n);
-  h.payload_crc = trace_crc32(payload.data(), payload.size());
-  os.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  os.write(reinterpret_cast<const char*>(payload.data()),
-           static_cast<std::streamsize>(payload.size()));
-  if (!os) fail("batch write failed");
-}
-
-void write_batch_file(const std::string& path, const TraceBatch& batch) {
-  std::ostringstream os(std::ios::binary);
-  write_batch(os, batch);
-  const std::string image = os.str();
+  // Read through the io VFS like every other file, then parse the image with
+  // the same hardened stream reader the in-memory callers use.
+  std::vector<std::uint8_t> bytes;
   try {
-    io::write_file_durable(path, {io::ByteSpan{image.data(), image.size()}});
+    bytes = io::read_file(path);
   } catch (const io::IoError& e) {
     fail(e.what());
   }
-}
-
-MappedTraceBatch::MappedTraceBatch(const std::string& path) {
-  const std::uint8_t* base = nullptr;
-  std::size_t file_len = 0;
-#if PLANARIA_TRACE_HAVE_MMAP
-  // lint: suppress(io-raw-call) the zero-copy mmap fast path needs a raw fd; a copying io::read_file would defeat the container's point
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) fail("cannot open for read: " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    fail("cannot stat: " + path);
-  }
-  file_len = static_cast<std::size_t>(st.st_size);
-  if (file_len > 0) {
-    void* m = ::mmap(nullptr, file_len, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (m == MAP_FAILED) fail("cannot mmap: " + path);
-    map_ = m;
-    map_len_ = file_len;
-    base = static_cast<const std::uint8_t*>(m);
-  } else {
-    ::close(fd);
-  }
-#else
-  // lint: suppress(io-raw-stream) read-only mmap fallback; batch CRCs guard the payload, same as the mapped path
-  std::ifstream is(path, std::ios::binary);
-  if (!is) fail("cannot open for read: " + path);
-  fallback_.assign(std::istreambuf_iterator<char>(is),
-                   std::istreambuf_iterator<char>());
-  base = fallback_.data();
-  file_len = fallback_.size();
-#endif
-  try {
-    if (file_len < sizeof(BatchHeader)) fail("truncated batch header");
-    BatchHeader h{};
-    std::memcpy(&h, base, sizeof(h));
-    if (h.magic != kBatchMagic) fail("bad magic (not a planaria batch)");
-    if (h.version != kBatchVersion) {
-      fail("unsupported batch version " + std::to_string(h.version));
-    }
-    // The declared count is untrusted: bound the payload it implies by the
-    // bytes the file actually holds before dereferencing anything.
-    const std::uint64_t per_record = sizeof(Address) + sizeof(Cycle) + 1;
-    const std::uint64_t avail = file_len - sizeof(BatchHeader);
-    if (h.count > avail / per_record) {
-      fail("header claims " + std::to_string(h.count) +
-           " records but the file holds only " + std::to_string(avail) +
-           " payload bytes");
-    }
-    const std::size_t n = static_cast<std::size_t>(h.count);
-    const std::uint8_t* payload = base + sizeof(BatchHeader);
-    const std::size_t payload_len = n * static_cast<std::size_t>(per_record);
-    if (trace_crc32(payload, payload_len) != h.payload_crc) {
-      fail("batch payload CRC mismatch");
-    }
-    addresses_ = reinterpret_cast<const Address*>(payload);
-    arrivals_ =
-        reinterpret_cast<const Cycle*>(payload + n * sizeof(Address));
-    meta_ = payload + n * (sizeof(Address) + sizeof(Cycle));
-    // Validate every meta byte once so the hot loop can unpack unchecked.
-    for (std::size_t i = 0; i < n; ++i) {
-      if ((meta_[i] >> 1) >= static_cast<std::uint8_t>(DeviceId::kCount)) {
-        fail("corrupt record " + std::to_string(i) + ": bad device id");
-      }
-    }
-    count_ = n;
-  } catch (...) {
-    reset();
-    throw;
-  }
-}
-
-void MappedTraceBatch::reset() noexcept {
-#if PLANARIA_TRACE_HAVE_MMAP
-  if (map_ != nullptr) ::munmap(map_, map_len_);
-#endif
-  map_ = nullptr;
-  map_len_ = 0;
-  fallback_.clear();
-  addresses_ = nullptr;
-  arrivals_ = nullptr;
-  meta_ = nullptr;
-  count_ = 0;
-}
-
-MappedTraceBatch::~MappedTraceBatch() { reset(); }
-
-MappedTraceBatch::MappedTraceBatch(MappedTraceBatch&& other) noexcept
-    : map_(std::exchange(other.map_, nullptr)),
-      map_len_(std::exchange(other.map_len_, 0)),
-      fallback_(std::move(other.fallback_)),
-      addresses_(std::exchange(other.addresses_, nullptr)),
-      arrivals_(std::exchange(other.arrivals_, nullptr)),
-      meta_(std::exchange(other.meta_, nullptr)),
-      count_(std::exchange(other.count_, 0)) {
-  other.fallback_.clear();
-}
-
-MappedTraceBatch& MappedTraceBatch::operator=(
-    MappedTraceBatch&& other) noexcept {
-  if (this != &other) {
-    reset();
-    map_ = std::exchange(other.map_, nullptr);
-    map_len_ = std::exchange(other.map_len_, 0);
-    fallback_ = std::move(other.fallback_);
-    addresses_ = std::exchange(other.addresses_, nullptr);
-    arrivals_ = std::exchange(other.arrivals_, nullptr);
-    meta_ = std::exchange(other.meta_, nullptr);
-    count_ = std::exchange(other.count_, 0);
-    other.fallback_.clear();
-  }
-  return *this;
-}
-
-TraceBatch MappedTraceBatch::to_batch() const {
-  TraceBatch out;
-  out.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) out.push_back(record(i));
-  return out;
+  std::istringstream is(std::string(bytes.begin(), bytes.end()),
+                        std::ios::binary);
+  return read_binary(is, policy, report);
 }
 
 void write_csv(std::ostream& os, const std::vector<TraceRecord>& records) {

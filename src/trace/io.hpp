@@ -24,16 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "trace/batch.hpp"
 #include "trace/record.hpp"
 
 namespace planaria::trace {
 
 inline constexpr std::uint32_t kTraceMagic = 0x52544C50;  // "PLTR"
 inline constexpr std::uint16_t kTraceVersion = 1;
-
-inline constexpr std::uint32_t kBatchMagic = 0x42544C50;  // "PLTB"
-inline constexpr std::uint16_t kBatchVersion = 1;
 
 /// How a reader responds to malformed input.
 enum class RecoveryPolicy : std::uint8_t {
@@ -91,60 +87,6 @@ void write_csv(std::ostream& os, const std::vector<TraceRecord>& records);
 std::vector<TraceRecord> read_csv(std::istream& is,
                                   RecoveryPolicy policy = RecoveryPolicy::kThrow,
                                   TraceReadReport* report = nullptr);
-
-/// Columnar (SoA) trace container format, designed to be mapped rather than
-/// parsed: a 32-byte header {magic "PLTB", u16 version, u16 flags, u64 record
-/// count, u32 payload CRC32, 12B reserved}, then three contiguous columns —
-/// u64 addresses[count], u64 arrivals[count], u8 meta[count] (TraceBatch
-/// packing: bit 0 type, bits 1..7 device). Both 8-byte columns start at
-/// 8-aligned offsets, so a page-aligned mapping can serve them zero-copy.
-/// Discipline mirrors the snapshot envelope: every length is validated
-/// against the bytes actually present before anything is trusted, the CRC
-/// covers the whole payload, and every meta byte is range-checked at open —
-/// after which the hot loop consumes the columns without per-record checks.
-void write_batch(std::ostream& os, const TraceBatch& batch);
-void write_batch_file(const std::string& path, const TraceBatch& batch);
-
-/// Read-only view of a "PLTB" file. Uses mmap where available (the columns
-/// alias the page cache; nothing is copied) with a read-into-memory fallback.
-/// The constructor throws std::runtime_error on any malformed input: bad
-/// magic/version, a count the file's bytes cannot back, CRC mismatch, or an
-/// out-of-range meta byte.
-class MappedTraceBatch {
- public:
-  explicit MappedTraceBatch(const std::string& path);
-  ~MappedTraceBatch();
-  MappedTraceBatch(MappedTraceBatch&& other) noexcept;
-  MappedTraceBatch& operator=(MappedTraceBatch&& other) noexcept;
-  MappedTraceBatch(const MappedTraceBatch&) = delete;
-  MappedTraceBatch& operator=(const MappedTraceBatch&) = delete;
-
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  const Address* addresses() const { return addresses_; }
-  const Cycle* arrivals() const { return arrivals_; }
-  const std::uint8_t* meta() const { return meta_; }
-
-  TraceRecord record(std::size_t i) const {
-    return TraceRecord{addresses_[i], arrivals_[i],
-                       TraceBatch::meta_type(meta_[i]),
-                       TraceBatch::meta_device(meta_[i])};
-  }
-
-  /// Owning copy, for callers that outlive the mapping.
-  TraceBatch to_batch() const;
-
- private:
-  void reset() noexcept;
-
-  void* map_ = nullptr;            ///< mmap base (null under the fallback)
-  std::size_t map_len_ = 0;
-  std::vector<std::uint8_t> fallback_;  ///< owning buffer when mmap is absent
-  const Address* addresses_ = nullptr;
-  const Cycle* arrivals_ = nullptr;
-  const std::uint8_t* meta_ = nullptr;
-  std::size_t count_ = 0;
-};
 
 /// Merges multiple per-device streams into one arrival-time-ordered trace.
 /// Records with equal arrival keep their relative input-stream order

@@ -216,6 +216,7 @@ std::vector<trace::TraceRecord> storm_trace(std::uint64_t records) {
 
 TEST_F(IoFaultTest, CheckpointedRunSurvivesEveryWriteSideFaultClass) {
   const auto t = storm_trace(8000);
+  const trace::TraceBatch b(t);
   const auto factory = sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria);
   const auto base = sim::Simulator::run(sim::SimConfig{}, factory, "planaria", t);
 
@@ -245,7 +246,7 @@ TEST_F(IoFaultTest, CheckpointedRunSurvivesEveryWriteSideFaultClass) {
       {
         io::ScopedFaultInjector armed(&shim);
         under_storm = sim::run_checkpointed(sim::SimConfig{}, factory,
-                                            "planaria", t, ckpt, nullptr,
+                                            "planaria", b, ckpt, nullptr,
                                             &stormy);
       }
       applied += shim.injected(c);
@@ -260,7 +261,7 @@ TEST_F(IoFaultTest, CheckpointedRunSurvivesEveryWriteSideFaultClass) {
       // same result — resumed, fell back, or cold-started, never wrong.
       sim::RecoveryReport calm;
       const auto rerun = sim::run_checkpointed(
-          sim::SimConfig{}, factory, "planaria", t, ckpt, nullptr, &calm);
+          sim::SimConfig{}, factory, "planaria", b, ckpt, nullptr, &calm);
       EXPECT_TRUE(rerun == base);
     }
     EXPECT_GT(applied, 0u) << "storm never actually fired";
@@ -282,6 +283,7 @@ void flip_payload_byte(const std::string& file) {
 
 TEST_F(IoFaultTest, ScrubQuarantinesAndRepairsFromTheSurvivingCopy) {
   const auto t = storm_trace(6000);
+  const trace::TraceBatch b(t);
   const auto factory = sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria);
   const auto base = sim::Simulator::run(sim::SimConfig{}, factory, "planaria", t);
 
@@ -293,10 +295,10 @@ TEST_F(IoFaultTest, ScrubQuarantinesAndRepairsFromTheSurvivingCopy) {
   // Two generations on disk: cursor 2000 in .prev, cursor 4000 in current.
   {
     sim::Simulator s(sim::SimConfig{}, factory, "planaria");
-    s.run_sharded(t.data(), t.data() + 2000);
-    sim::write_checkpoint(s, ckpt, 2000, sim::trace_fingerprint(t));
-    s.run_sharded(t.data() + 2000, t.data() + 4000);
-    sim::write_checkpoint(s, ckpt, 4000, sim::trace_fingerprint(t));
+    s.run_sharded(b, 0, 2000);
+    sim::write_checkpoint(s, ckpt, 2000, sim::trace_fingerprint(b));
+    s.run_sharded(b, 2000, 4000);
+    sim::write_checkpoint(s, ckpt, 4000, sim::trace_fingerprint(b));
   }
   const auto prev_bytes = snapshot::read_file(ckpt.prev_path());
 
@@ -330,7 +332,7 @@ TEST_F(IoFaultTest, ScrubQuarantinesAndRepairsFromTheSurvivingCopy) {
   // bit-identical.
   sim::RecoveryReport rep;
   const auto result = sim::run_checkpointed(sim::SimConfig{}, factory,
-                                            "planaria", t, ckpt, nullptr, &rep);
+                                            "planaria", b, ckpt, nullptr, &rep);
   EXPECT_EQ(rep.outcome, sim::RecoveryReport::Outcome::kResumed);
   EXPECT_EQ(rep.resumed_cursor, 2000u);
   EXPECT_TRUE(result == base);
@@ -338,6 +340,7 @@ TEST_F(IoFaultTest, ScrubQuarantinesAndRepairsFromTheSurvivingCopy) {
 
 TEST_F(IoFaultTest, ScrubWithBothCopiesRottenQuarantinesBothRepairsNothing) {
   const auto t = storm_trace(4000);
+  const trace::TraceBatch b(t);
   const auto factory = sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria);
 
   sim::CheckpointConfig ckpt;
@@ -346,10 +349,10 @@ TEST_F(IoFaultTest, ScrubWithBothCopiesRottenQuarantinesBothRepairsNothing) {
   ckpt.label = "doomed";
   {
     sim::Simulator s(sim::SimConfig{}, factory, "planaria");
-    s.run_sharded(t.data(), t.data() + 1000);
-    sim::write_checkpoint(s, ckpt, 1000, sim::trace_fingerprint(t));
-    s.run_sharded(t.data() + 1000, t.data() + 2000);
-    sim::write_checkpoint(s, ckpt, 2000, sim::trace_fingerprint(t));
+    s.run_sharded(b, 0, 1000);
+    sim::write_checkpoint(s, ckpt, 1000, sim::trace_fingerprint(b));
+    s.run_sharded(b, 1000, 2000);
+    sim::write_checkpoint(s, ckpt, 2000, sim::trace_fingerprint(b));
   }
   flip_payload_byte(ckpt.current_path());
   flip_payload_byte(ckpt.prev_path());
@@ -366,13 +369,14 @@ TEST_F(IoFaultTest, ScrubWithBothCopiesRottenQuarantinesBothRepairsNothing) {
   const auto base = sim::Simulator::run(sim::SimConfig{}, factory, "planaria", t);
   sim::RecoveryReport recovery;
   const auto result = sim::run_checkpointed(
-      sim::SimConfig{}, factory, "planaria", t, ckpt, nullptr, &recovery);
+      sim::SimConfig{}, factory, "planaria", b, ckpt, nullptr, &recovery);
   EXPECT_EQ(recovery.outcome, sim::RecoveryReport::Outcome::kColdStart);
   EXPECT_TRUE(result == base);
 }
 
 TEST_F(IoFaultTest, ScrubCountsAMissingPartnerWithoutFabricatingIt) {
   const auto t = storm_trace(3000);
+  const trace::TraceBatch b(t);
   const auto factory = sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria);
 
   sim::CheckpointConfig ckpt;
@@ -381,8 +385,8 @@ TEST_F(IoFaultTest, ScrubCountsAMissingPartnerWithoutFabricatingIt) {
   ckpt.label = "lone";
   {
     sim::Simulator s(sim::SimConfig{}, factory, "planaria");
-    s.run_sharded(t.data(), t.data() + 1000);
-    sim::write_checkpoint(s, ckpt, 1000, sim::trace_fingerprint(t));
+    s.run_sharded(b, 0, 1000);
+    sim::write_checkpoint(s, ckpt, 1000, sim::trace_fingerprint(b));
   }
   ASSERT_FALSE(fs::exists(ckpt.prev_path()));
 

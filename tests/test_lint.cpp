@@ -10,7 +10,8 @@
 //   * The real tree: the repo must lint clean at HEAD, and the committed
 //     layers.conf must be load-bearing — removing any single layer, allow,
 //     hot-stop, or volatile-member line has to produce findings (or a config
-//     error). Same for deleting a load_state (the pairing rule) or a single
+//     error), and every hot-root/hot-stop spec must bind a real function.
+//     Same for deleting a load_state (the pairing rule) or a single
 //     member-serialize line inside a real save_state body (the state-flow
 //     family): the mutation must surface as a finding.
 //   * Interprocedural layer: the call graph (recursion, overload merging,
@@ -842,6 +843,37 @@ TEST(LintRepo, EveryConfigLineIsLoadBearing) {
   // deliberate act, visible here.
   EXPECT_EQ(mutations, 18);
   fs::remove_all(scratch);
+}
+
+// CallGraph::reachable silently ignores a spec that binds nothing, so a
+// rename in the simulate spine would drop its hot-path checks without a
+// finding. Every hot-root and hot-stop spec in the committed config must
+// resolve to at least one function definition in the real tree.
+TEST(LintRepo, EveryHotSpecBindsAFunction) {
+  const fs::path repo(PLANARIA_LINT_REPO_ROOT);
+  const Config config =
+      load_config((repo / "tools/lint/layers.conf").string());
+  Options options;
+  options.root = repo.string();
+  std::vector<Finding> malformed;
+  const std::vector<FileInfo> files = scan_tree(options, malformed);
+  const CallGraph graph = build_call_graph(files);
+  const auto binds = [&graph](const std::string& spec) {
+    return !graph.reachable({spec}, {}, nullptr).empty();
+  };
+
+  ASSERT_FALSE(config.hot_roots.empty());
+  for (const std::string& spec : config.hot_roots) {
+    EXPECT_TRUE(binds(spec)) << "hot-root '" << spec << "' binds no function";
+  }
+  ASSERT_FALSE(config.hot_stops.empty());
+  for (const HotStop& stop : config.hot_stops) {
+    EXPECT_TRUE(binds(stop.spec))
+        << "hot-stop '" << stop.spec << "' binds no function";
+  }
+  // The check has teeth: a spec naming a function that no longer exists
+  // (here a spine function under a stale name) binds nothing.
+  EXPECT_FALSE(binds("Simulator::step_channel_k"));
 }
 
 std::string slurp(const fs::path& path) {

@@ -2,6 +2,7 @@
 // merging, AMAT/IPC/power accounting, and the experiment runner.
 #include <gtest/gtest.h>
 
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "trace/apps.hpp"
@@ -244,7 +245,30 @@ TEST(Experiment, RecordsFromEnvParses) {
   EXPECT_EQ(records_from_env(123), 4567u);
   setenv("PLANARIA_RECORDS", "bogus", 1);
   EXPECT_THROW(records_from_env(123), std::invalid_argument);
+  // strtoull would wrap "-1" to 2^64-1 records; a sign is rejected.
+  setenv("PLANARIA_RECORDS", "-1", 1);
+  EXPECT_THROW(records_from_env(123), std::invalid_argument);
   unsetenv("PLANARIA_RECORDS");
+}
+
+TEST(Checkpoint, FromEnvAcceptsOnlyPlainDecimalIntervals) {
+  setenv("PLANARIA_CHECKPOINT_DIR", "ckpt-from-env", 1);
+  setenv("PLANARIA_CHECKPOINT_EVERY", "2500", 1);
+  CheckpointConfig ckpt = CheckpointConfig::from_env();
+  EXPECT_EQ(ckpt.dir, "ckpt-from-env");
+  EXPECT_EQ(ckpt.every, 2500u);
+  EXPECT_TRUE(ckpt.enabled());
+  // strtoull alone would wrap "-5" to 2^64-5 and *enable* checkpointing;
+  // "12x" carries trailing junk. Both leave checkpointing disabled.
+  for (const char* bad : {"-5", "12x"}) {
+    SCOPED_TRACE(bad);
+    setenv("PLANARIA_CHECKPOINT_EVERY", bad, 1);
+    ckpt = CheckpointConfig::from_env();
+    EXPECT_EQ(ckpt.every, 0u);
+    EXPECT_FALSE(ckpt.enabled());
+  }
+  unsetenv("PLANARIA_CHECKPOINT_EVERY");
+  unsetenv("PLANARIA_CHECKPOINT_DIR");
 }
 
 }  // namespace

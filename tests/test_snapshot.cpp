@@ -320,18 +320,18 @@ std::vector<trace::TraceRecord> test_trace(std::uint64_t records) {
 /// Simulator with real mid-run state: tables populated, requests in flight,
 /// DRAM queues non-empty (no finish(), so nothing has been drained).
 std::unique_ptr<sim::Simulator> warmed(sim::PrefetcherKind kind,
-                                       const std::vector<trace::TraceRecord>& t,
+                                       const trace::TraceBatch& t,
                                        std::size_t feed,
                                        const sim::SimConfig& config = {}) {
   auto s = std::make_unique<sim::Simulator>(
       config, sim::make_prefetcher_factory(kind),
       sim::prefetcher_kind_name(kind));
-  s->run_sharded(t.data(), t.data() + feed);
+  s->run_sharded(t, 0, feed);
   return s;
 }
 
 TEST(SnapshotRoundTrip, EveryPrefetcherKindIsByteStable) {
-  const auto t = test_trace(12000);
+  const trace::TraceBatch t(test_trace(12000));
   for (sim::PrefetcherKind kind : sim::all_prefetcher_kinds()) {
     SCOPED_TRACE(sim::prefetcher_kind_name(kind));
     const auto original = warmed(kind, t, 9000);
@@ -357,7 +357,7 @@ TEST(SnapshotRoundTrip, ArmedFaultInjectorsAreByteStable) {
   }
   sim::SimConfig config;
   config.fault = plan;
-  const auto t = test_trace(8000);
+  const trace::TraceBatch t(test_trace(8000));
 
   check::RecoveryScope scope;  // trace corruption fires the time contract
   const auto original = warmed(sim::PrefetcherKind::kPlanaria, t, 6000, config);
@@ -492,7 +492,7 @@ TEST(SnapshotRoundTrip, SimResultSurvivesVerbatim) {
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotFuzz, TruncatedPayloadsAreRejectedCleanly) {
-  const auto t = test_trace(6000);
+  const trace::TraceBatch t(test_trace(6000));
   const auto original = warmed(sim::PrefetcherKind::kPlanaria, t, 5000);
   snapshot::Writer w;
   original->save_state(w);
@@ -519,7 +519,7 @@ TEST(SnapshotFuzz, TruncatedPayloadsAreRejectedCleanly) {
 }
 
 TEST(SnapshotFuzz, WrongKindPayloadIsRejected) {
-  const auto t = test_trace(4000);
+  const trace::TraceBatch t(test_trace(4000));
   const auto bop = warmed(sim::PrefetcherKind::kBop, t, 3000);
   snapshot::Writer w;
   bop->save_state(w);
@@ -535,22 +535,23 @@ TEST(SnapshotFuzz, WrongKindPayloadIsRejected) {
 
 TEST_F(SnapshotFileTest, ResumeMatchesUninterruptedRunBitForBit) {
   const auto t = test_trace(10000);
+  const trace::TraceBatch b(t);
   const auto base = sim::Simulator::run(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
       t);
 
   // Run 6000 records, checkpoint, abandon; resume must complete identically.
-  const auto part = warmed(sim::PrefetcherKind::kPlanaria, t, 6000);
+  const auto part = warmed(sim::PrefetcherKind::kPlanaria, b, 6000);
   sim::CheckpointConfig ckpt;
   ckpt.dir = dir_.string();
   ckpt.every = 6000;
-  sim::write_checkpoint(*part, ckpt, 6000, sim::trace_fingerprint(t));
+  sim::write_checkpoint(*part, ckpt, 6000, sim::trace_fingerprint(b));
 
   const auto resumed = sim::resume(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
-      t, ckpt.current_path());
+      b, ckpt.current_path());
   EXPECT_TRUE(resumed == base);
 
   // resume() on a damaged snapshot throws instead of falling back.
@@ -558,25 +559,27 @@ TEST_F(SnapshotFileTest, ResumeMatchesUninterruptedRunBitForBit) {
   EXPECT_THROW(sim::resume(sim::SimConfig{},
                            sim::make_prefetcher_factory(
                                sim::PrefetcherKind::kPlanaria),
-                           "planaria", t, ckpt.current_path()),
+                           "planaria", b, ckpt.current_path()),
                snapshot::SnapshotError);
 }
 
 TEST_F(SnapshotFileTest, FingerprintMismatchForcesColdStart) {
   const auto t = test_trace(8000);
-  const auto part = warmed(sim::PrefetcherKind::kPlanaria, t, 4000);
+  const trace::TraceBatch b(t);
+  const auto part = warmed(sim::PrefetcherKind::kPlanaria, b, 4000);
   sim::CheckpointConfig ckpt;
   ckpt.dir = dir_.string();
   ckpt.every = 4000;
-  sim::write_checkpoint(*part, ckpt, 4000, sim::trace_fingerprint(t));
+  sim::write_checkpoint(*part, ckpt, 4000, sim::trace_fingerprint(b));
 
   // A different trace must not resume from this snapshot.
   const auto other = test_trace(8001);
+  const trace::TraceBatch other_batch(other);
   sim::RecoveryReport rep;
   const auto result = sim::run_checkpointed(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
-      other, ckpt, nullptr, &rep);
+      other_batch, ckpt, nullptr, &rep);
   EXPECT_EQ(rep.outcome, sim::RecoveryReport::Outcome::kColdStart);
   ASSERT_FALSE(rep.notes.empty());
   EXPECT_NE(rep.notes.front().find("different trace"), std::string::npos);
@@ -594,6 +597,7 @@ TEST_F(SnapshotFileTest, FingerprintMismatchForcesColdStart) {
 
 TEST_F(SnapshotFileTest, KillDuringRotationPromotionFallsBackToPrev) {
   const auto t = test_trace(10000);
+  const trace::TraceBatch b(t);
   const auto base = sim::Simulator::run(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
@@ -602,8 +606,8 @@ TEST_F(SnapshotFileTest, KillDuringRotationPromotionFallsBackToPrev) {
   sim::CheckpointConfig ckpt;
   ckpt.dir = dir_.string();
   ckpt.every = 4000;
-  const auto part = warmed(sim::PrefetcherKind::kPlanaria, t, 4000);
-  sim::write_checkpoint(*part, ckpt, 4000, sim::trace_fingerprint(t));
+  const auto part = warmed(sim::PrefetcherKind::kPlanaria, b, 4000);
+  sim::write_checkpoint(*part, ckpt, 4000, sim::trace_fingerprint(b));
 
   // Reproduce the exact mid-rotation state of the *next* checkpoint: the
   // rename has promoted current to .prev and the process died before the
@@ -615,7 +619,7 @@ TEST_F(SnapshotFileTest, KillDuringRotationPromotionFallsBackToPrev) {
   const auto result = sim::run_checkpointed(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
-      t, ckpt, nullptr, &rep);
+      b, ckpt, nullptr, &rep);
   EXPECT_EQ(rep.outcome, sim::RecoveryReport::Outcome::kFellBack);
   EXPECT_EQ(rep.resumed_cursor, 4000u);
   EXPECT_EQ(rep.snapshot_path, ckpt.prev_path());
@@ -624,6 +628,7 @@ TEST_F(SnapshotFileTest, KillDuringRotationPromotionFallsBackToPrev) {
 
 TEST_F(SnapshotFileTest, DoubleKillAcrossRotationsColdStartsCleanly) {
   const auto t = test_trace(10000);
+  const trace::TraceBatch b(t);
   const auto base = sim::Simulator::run(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
@@ -632,10 +637,10 @@ TEST_F(SnapshotFileTest, DoubleKillAcrossRotationsColdStartsCleanly) {
   sim::CheckpointConfig ckpt;
   ckpt.dir = dir_.string();
   ckpt.every = 4000;
-  const auto part = warmed(sim::PrefetcherKind::kPlanaria, t, 4000);
-  sim::write_checkpoint(*part, ckpt, 4000, sim::trace_fingerprint(t));
-  const auto later = warmed(sim::PrefetcherKind::kPlanaria, t, 8000);
-  sim::write_checkpoint(*later, ckpt, 8000, sim::trace_fingerprint(t));
+  const auto part = warmed(sim::PrefetcherKind::kPlanaria, b, 4000);
+  sim::write_checkpoint(*part, ckpt, 4000, sim::trace_fingerprint(b));
+  const auto later = warmed(sim::PrefetcherKind::kPlanaria, b, 8000);
+  sim::write_checkpoint(*later, ckpt, 8000, sim::trace_fingerprint(b));
 
   // First kill: torn write of the current snapshot. Second kill: the retry
   // died mid-rotation too, tearing what .prev held. Both candidates are now
@@ -648,7 +653,7 @@ TEST_F(SnapshotFileTest, DoubleKillAcrossRotationsColdStartsCleanly) {
   const auto result = sim::run_checkpointed(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
-      t, ckpt, nullptr, &rep);
+      b, ckpt, nullptr, &rep);
   EXPECT_EQ(rep.outcome, sim::RecoveryReport::Outcome::kColdStart);
   EXPECT_EQ(rep.notes.size(), 2u);
   EXPECT_TRUE(result == base);
@@ -659,7 +664,7 @@ TEST_F(SnapshotFileTest, DoubleKillAcrossRotationsColdStartsCleanly) {
   const auto again = sim::run_checkpointed(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
-      t, ckpt, nullptr, &rep2);
+      b, ckpt, nullptr, &rep2);
   EXPECT_EQ(rep2.outcome, sim::RecoveryReport::Outcome::kResumed);
   EXPECT_TRUE(again == base);
 }
@@ -1015,16 +1020,17 @@ TEST(SnapshotGolden, CommittedSnapshotStillDecodes) {
   const std::string golden = std::string(PLANARIA_TESTDATA_DIR) +
                              "/golden.snap";
   const auto t = golden_trace();
+  const trace::TraceBatch b(t);
   constexpr std::uint64_t kGoldenCursor = 256;
 
   // lint: suppress(determinism) opt-in regeneration knob for the committed golden snapshot
   if (const char* write = std::getenv("PLANARIA_WRITE_GOLDEN");
       write != nullptr && *write != '\0') {
-    const auto s = warmed(sim::PrefetcherKind::kPlanaria, t, kGoldenCursor);
+    const auto s = warmed(sim::PrefetcherKind::kPlanaria, b, kGoldenCursor);
     snapshot::Writer w;
     w.tag(snapshot::tag4("CKPT"));
     w.u64(kGoldenCursor);
-    w.u64(sim::trace_fingerprint(t));
+    w.u64(sim::trace_fingerprint(b));
     s->save_state(w);
     snapshot::write_file(golden, w.buffer());
     GTEST_SKIP() << "golden snapshot regenerated at " << golden;
@@ -1037,14 +1043,14 @@ TEST(SnapshotGolden, CommittedSnapshotStillDecodes) {
   // the resume cursor is intact. A failure here means the serialization
   // changed without a kFormatVersion bump (see snapshot.hpp's versioning
   // rule).
-  auto s = warmed(sim::PrefetcherKind::kPlanaria, t, 0);
+  auto s = warmed(sim::PrefetcherKind::kPlanaria, b, 0);
   const std::uint64_t cursor =
-      sim::load_checkpoint(*s, golden, sim::trace_fingerprint(t));
+      sim::load_checkpoint(*s, golden, sim::trace_fingerprint(b));
   EXPECT_EQ(cursor, kGoldenCursor);
 
   // And the restored state is live: completing the run reproduces the
   // uninterrupted result bit for bit.
-  s->run_sharded(t.data() + cursor, t.data() + t.size());
+  s->run_sharded(b, cursor, b.size());
   const auto resumed = s->finish();
   const auto base = sim::Simulator::run(
       sim::SimConfig{},

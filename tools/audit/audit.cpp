@@ -439,21 +439,19 @@ void chaos_audit(std::uint64_t records, std::uint64_t seed) {
 /// never called). That is what SIGKILL at record `kill_at` leaves behind: a
 /// last-good snapshot on disk, all in-memory progress since it lost.
 void crash_at(const sim::SimConfig& config, sim::PrefetcherKind kind,
-              const std::vector<trace::TraceRecord>& records,
+              const trace::TraceBatch& batch,
               const sim::CheckpointConfig& ckpt, std::uint64_t kill_at,
               std::uint64_t fingerprint, planaria::common::ThreadPool* pool) {
   sim::Simulator doomed(config, sim::make_prefetcher_factory(kind),
                         sim::prefetcher_kind_name(kind));
   std::uint64_t cursor = 0;
   while (cursor + ckpt.every <= kill_at) {
-    doomed.run_sharded(records.data() + cursor,
-                       records.data() + cursor + ckpt.every, pool);
+    doomed.run_sharded(batch, cursor, cursor + ckpt.every, pool);
     cursor += ckpt.every;
     sim::write_checkpoint(doomed, ckpt, cursor, fingerprint);
   }
   if (cursor < kill_at) {
-    doomed.run_sharded(records.data() + cursor, records.data() + kill_at,
-                       pool);
+    doomed.run_sharded(batch, cursor, kill_at, pool);
   }
 }
 
@@ -525,7 +523,8 @@ void crash_audit(std::uint64_t records, std::uint64_t seed) {
     const auto& trace_records = traces[p];
     const std::uint64_t n = trace_records.size();
     if (n < 2) continue;
-    const std::uint64_t fingerprint = sim::trace_fingerprint(trace_records);
+    const trace::TraceBatch batch(trace_records);
+    const std::uint64_t fingerprint = sim::trace_fingerprint(batch);
     for (sim::PrefetcherKind kind : sim::all_prefetcher_kinds()) {
       for (const bool with_faults : {false, true}) {
         sim::SimConfig config;
@@ -547,13 +546,13 @@ void crash_audit(std::uint64_t records, std::uint64_t seed) {
           for (int drill = 0; drill < 3; ++drill) {
             scrub_snapshots(ckpt);
             const std::uint64_t kill_at = 1 + kills.next_below(n - 1);
-            crash_at(config, kind, trace_records, ckpt, kill_at, fingerprint,
+            crash_at(config, kind, batch, ckpt, kill_at, fingerprint,
                      cell_pool);
             sim::RecoveryReport rep;
             const auto resumed = sim::run_checkpointed(
                 config, sim::make_prefetcher_factory(kind),
-                sim::prefetcher_kind_name(kind), trace_records, ckpt,
-                cell_pool, &rep);
+                sim::prefetcher_kind_name(kind), batch, ckpt, cell_pool,
+                &rep);
             identical = identical && resumed == base;
             // A kill past the first boundary must resume from the snapshot;
             // an earlier kill finds no snapshot and cold-starts quietly.
@@ -581,8 +580,8 @@ void crash_audit(std::uint64_t records, std::uint64_t seed) {
   const std::uint64_t n = flagship_records.size();
   const std::uint64_t kill_at = 3 * ckpt.every;  // leaves .snap and .prev
   if (kill_at < n) {
-    const std::uint64_t fingerprint =
-        sim::trace_fingerprint(flagship_records);
+    const trace::TraceBatch flagship(flagship_records);
+    const std::uint64_t fingerprint = sim::trace_fingerprint(flagship);
     const sim::SimConfig config;
     const auto kind = sim::PrefetcherKind::kPlanaria;
     const auto base = sim::Simulator::run(
@@ -592,14 +591,12 @@ void crash_audit(std::uint64_t records, std::uint64_t seed) {
                            sim::RecoveryReport::Outcome want,
                            std::size_t want_notes) {
       scrub_snapshots(ckpt);
-      crash_at(config, kind, flagship_records, ckpt, kill_at, fingerprint,
-               nullptr);
+      crash_at(config, kind, flagship, ckpt, kill_at, fingerprint, nullptr);
       damage();
       sim::RecoveryReport rep;
       const auto resumed = sim::run_checkpointed(
           config, sim::make_prefetcher_factory(kind),
-          sim::prefetcher_kind_name(kind), flagship_records, ckpt, nullptr,
-          &rep);
+          sim::prefetcher_kind_name(kind), flagship, ckpt, nullptr, &rep);
       expect(resumed == base && rep.outcome == want &&
                  rep.notes.size() == want_notes,
              std::string("corruption drill: ") + what + " -> " +
@@ -879,7 +876,7 @@ std::vector<std::uint8_t> storm_payload(std::uint64_t seed, std::size_t size) {
 /// damage "succeeds" here and is only caught by the resume-side CRC.
 std::uint64_t storm_crash_at(const sim::SimConfig& config,
                              sim::PrefetcherKind kind,
-                             const std::vector<trace::TraceRecord>& records,
+                             const trace::TraceBatch& batch,
                              const sim::CheckpointConfig& ckpt,
                              std::uint64_t kill_at,
                              std::uint64_t fingerprint) {
@@ -888,8 +885,7 @@ std::uint64_t storm_crash_at(const sim::SimConfig& config,
   std::uint64_t lost = 0;
   std::uint64_t cursor = 0;
   while (cursor + ckpt.every <= kill_at) {
-    doomed.run_sharded(records.data() + cursor,
-                       records.data() + cursor + ckpt.every, nullptr);
+    doomed.run_sharded(batch, cursor, cursor + ckpt.every, nullptr);
     cursor += ckpt.every;
     try {
       sim::write_checkpoint(doomed, ckpt, cursor, fingerprint);
@@ -898,8 +894,7 @@ std::uint64_t storm_crash_at(const sim::SimConfig& config,
     }
   }
   if (cursor < kill_at) {
-    doomed.run_sharded(records.data() + cursor, records.data() + kill_at,
-                       nullptr);
+    doomed.run_sharded(batch, cursor, kill_at, nullptr);
   }
   return lost;
 }
@@ -996,7 +991,8 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
   const std::uint64_t kill_at = 3 * ckpt.every;  // leaves .snap and .prev
 
   if (kill_at < n) {
-    const std::uint64_t fingerprint = sim::trace_fingerprint(trace_records);
+    const trace::TraceBatch batch(trace_records);
+    const std::uint64_t fingerprint = sim::trace_fingerprint(batch);
     const sim::SimConfig config;
     const auto kind = sim::PrefetcherKind::kPlanaria;
     const auto base = sim::Simulator::run(
@@ -1018,15 +1014,13 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
         io::IoFaultInjector shim(io::IoFaultPlan::single(
             fault_class, 0.5, seed ^ (0xCA57ull + static_cast<int>(fault_class))));
         io::ScopedFaultInjector arm(&shim);
-        lost = storm_crash_at(config, kind, trace_records, ckpt, kill_at,
-                              fingerprint);
+        lost = storm_crash_at(config, kind, batch, ckpt, kill_at, fingerprint);
         applied = shim.total_injected();
       }
       sim::RecoveryReport rep;
       const auto resumed = sim::run_checkpointed(
           config, sim::make_prefetcher_factory(kind),
-          sim::prefetcher_kind_name(kind), trace_records, ckpt, nullptr,
-          &rep);
+          sim::prefetcher_kind_name(kind), batch, ckpt, nullptr, &rep);
       // A degraded recovery must be accounted somewhere loud: either the
       // write already failed in-flight (counted in `lost` — ENOSPC and
       // rename failures leave no current at all, so resume quietly falls
@@ -1052,7 +1046,7 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
     for (const auto fault_class :
          {io::IoFaultClass::kReadError, io::IoFaultClass::kBitRot}) {
       storm_remove_generations(ckpt);
-      storm_crash_at(config, kind, trace_records, ckpt, kill_at, fingerprint);
+      storm_crash_at(config, kind, batch, ckpt, kill_at, fingerprint);
       io::IoFaultInjector shim(io::IoFaultPlan::single(
           fault_class, 1.0, seed ^ (0xB17ull + static_cast<int>(fault_class))));
       sim::RecoveryReport rep;
@@ -1061,8 +1055,7 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
         io::ScopedFaultInjector arm(&shim);
         const auto resumed = sim::run_checkpointed(
             config, sim::make_prefetcher_factory(kind),
-            sim::prefetcher_kind_name(kind), trace_records, ckpt, nullptr,
-            &rep);
+            sim::prefetcher_kind_name(kind), batch, ckpt, nullptr, &rep);
         applied = shim.injected(fault_class);
         expect(resumed == base &&
                    rep.outcome == sim::RecoveryReport::Outcome::kColdStart &&
@@ -1080,7 +1073,7 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
     // resume must cold-start.
     {
       storm_remove_generations(ckpt);
-      storm_crash_at(config, kind, trace_records, ckpt, kill_at, fingerprint);
+      storm_crash_at(config, kind, batch, ckpt, kill_at, fingerprint);
       corrupt_snapshot(ckpt.current_path());
       const sim::ScrubReport scrub = sim::scrub_checkpoints(ckpt);
       expect(scrub.scanned == 2 && scrub.intact == 1 &&
@@ -1092,15 +1085,14 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
       sim::RecoveryReport rep;
       const auto resumed = sim::run_checkpointed(
           config, sim::make_prefetcher_factory(kind),
-          sim::prefetcher_kind_name(kind), trace_records, ckpt, nullptr,
-          &rep);
+          sim::prefetcher_kind_name(kind), batch, ckpt, nullptr, &rep);
       expect(resumed == base &&
                  rep.outcome == sim::RecoveryReport::Outcome::kResumed &&
                  rep.resumed_cursor == kill_at - ckpt.every,
              "scrub: resume rides the repaired generation, bit-identical");
 
       storm_remove_generations(ckpt);
-      storm_crash_at(config, kind, trace_records, ckpt, kill_at, fingerprint);
+      storm_crash_at(config, kind, batch, ckpt, kill_at, fingerprint);
       corrupt_snapshot(ckpt.current_path());
       corrupt_snapshot(ckpt.prev_path());
       const sim::ScrubReport both = sim::scrub_checkpoints(ckpt);
@@ -1110,8 +1102,7 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
       sim::RecoveryReport cold;
       const auto restarted = sim::run_checkpointed(
           config, sim::make_prefetcher_factory(kind),
-          sim::prefetcher_kind_name(kind), trace_records, ckpt, nullptr,
-          &cold);
+          sim::prefetcher_kind_name(kind), batch, ckpt, nullptr, &cold);
       expect(restarted == base &&
                  cold.outcome == sim::RecoveryReport::Outcome::kColdStart,
              "scrub: nothing left to repair -> clean cold start");

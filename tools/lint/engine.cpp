@@ -152,25 +152,10 @@ Report run_lint_on(const std::map<std::string, std::string>& sources,
                   std::move(malformed));
 }
 
-Report run_lint(const Options& options) {
+std::vector<FileInfo> scan_tree(const Options& options,
+                                std::vector<Finding>& malformed) {
   const fs::path root(options.root);
-  if (!fs::is_directory(root)) {
-    throw std::runtime_error("lint root is not a directory: " + options.root);
-  }
-  // Default config is <root>/tools/lint/layers.conf; a bare <root>/layers.conf
-  // is the fallback so fixture trees (tools/lint/fixtures/<rule>/) are
-  // self-contained lintable roots.
-  std::string config_path = options.config_path;
-  if (config_path.empty()) {
-    config_path = (root / "tools/lint/layers.conf").string();
-    if (!fs::is_regular_file(config_path)) {
-      config_path = (root / "layers.conf").string();
-    }
-  }
-  const Config config = load_config(config_path);
-
   std::vector<FileInfo> files;
-  std::vector<Finding> malformed;
   for (const std::string& scan_root : options.scan_roots) {
     const fs::path dir = root / scan_root;
     if (!fs::is_directory(dir)) continue;
@@ -195,6 +180,28 @@ Report run_lint(const Options& options) {
   }
   std::sort(files.begin(), files.end(),
             [](const FileInfo& a, const FileInfo& b) { return a.path < b.path; });
+  return files;
+}
+
+Report run_lint(const Options& options) {
+  const fs::path root(options.root);
+  if (!fs::is_directory(root)) {
+    throw std::runtime_error("lint root is not a directory: " + options.root);
+  }
+  // Default config is <root>/tools/lint/layers.conf; a bare <root>/layers.conf
+  // is the fallback so fixture trees (tools/lint/fixtures/<rule>/) are
+  // self-contained lintable roots.
+  std::string config_path = options.config_path;
+  if (config_path.empty()) {
+    config_path = (root / "tools/lint/layers.conf").string();
+    if (!fs::is_regular_file(config_path)) {
+      config_path = (root / "layers.conf").string();
+    }
+  }
+  const Config config = load_config(config_path);
+
+  std::vector<Finding> malformed;
+  std::vector<FileInfo> files = scan_tree(options, malformed);
   return finalize(files, config, run_rules(files, config),
                   std::move(malformed));
 }

@@ -134,6 +134,12 @@ struct CallGraph {
 
 CallGraph build_call_graph(const std::vector<FileInfo>& files);
 
+/// Reads and analyzes every C++ source under options.scan_roots (minus
+/// options.skip_prefixes), sorted by path — the file set run_lint checks.
+/// Malformed suppressions land in `malformed`.
+std::vector<FileInfo> scan_tree(const Options& options,
+                                std::vector<Finding>& malformed);
+
 /// Fills file.lambdas (capture table, params, locals, lock detection).
 void collect_lambdas(FileInfo& file);
 
