@@ -44,8 +44,9 @@
 #                 self-tests (percentiles, span timing, digest stability,
 #                 metric names), so an API change that breaks the benchmark
 #                 fails here
-#  10. tsan     — TSan build of the parallel sweep tests, run with a 4-lane
-#                 PLANARIA_THREADS pool
+#  10. tsan     — TSan build of the parallel sweep tests and the serving
+#                 loop's tests (admission and checkpoint-encode fan-outs),
+#                 run with a 4-lane PLANARIA_THREADS pool
 #  11. tidy     — clang-tidy over src/ against the compilation database
 #                 (skipped with a notice if clang-tidy is not installed)
 #
@@ -148,9 +149,9 @@ stage_perfbench() {
 stage_tsan() {
   cmake -B build-tsan -S . -DPLANARIA_WERROR=ON \
     -DPLANARIA_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_parallel test_sim test_sim_edge
+  cmake --build build-tsan -j "$JOBS" --target test_parallel test_sim test_sim_edge test_serve
   PLANARIA_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan -R 'test_parallel|test_sim' --output-on-failure
+    ctest --test-dir build-tsan -R 'test_parallel|test_sim|test_serve' --output-on-failure
 }
 
 stage_tidy() {

@@ -92,6 +92,7 @@ SessionServer::SessionServer(ServeConfig config, std::size_t threads)
   drill_plan_.seed = config_.drill_seed;
   drill_plan_.rate[static_cast<int>(kDrillClass)] = config_.session_fault_rate;
   ckpt_jitter_ = io::Stream(mix64(config_.drill_seed ^ 0xC4B7'C4B7ull));
+  ckpt_payloads_.resize(threads);
 }
 
 std::uint64_t SessionServer::add_session(const SessionSpec& spec) {
@@ -136,7 +137,10 @@ void SessionServer::materialize(Session& s) const {
   const auto records =
       trace::generate_app_trace(profile, config_.records_per_session);
   s.batch = trace::TraceBatch(records);
-  s.fingerprint = sim::trace_fingerprint(s.batch);
+  // The fingerprint only guards snapshots; with checkpointing off nothing is
+  // read or written, so the trace is not hashed.
+  s.fingerprint =
+      config_.checkpointing() ? sim::trace_fingerprint(s.batch) : 0;
 }
 
 void SessionServer::build_sim(Session& s) const {
@@ -533,6 +537,32 @@ void SessionServer::degrade_checkpoint(const std::string& why) {
   }
 }
 
+void SessionServer::write_session_checkpoints() {
+  // Groups of `lanes` live sessions, in id order. Each group encodes in one
+  // fan-out (pure CPU; each task reads only its own session and writes only
+  // its own payload buffer), then rotates and writes serially in id order,
+  // so the storage layer — and an installed io::IoFaultInjector — sees the
+  // same operation sequence at any thread count, and a failure stops the
+  // chain at the same session. At most `lanes` payloads exist at once, in
+  // buffers kept from one checkpoint to the next.
+  std::vector<std::uint32_t> live;
+  for (const Session& s : sessions_) {
+    if (active(s)) live.push_back(static_cast<std::uint32_t>(s.id));
+  }
+  const std::size_t lanes = ckpt_payloads_.size();
+  for (std::size_t first = 0; first < live.size(); first += lanes) {
+    const std::size_t n = std::min(lanes, live.size() - first);
+    for_each_ready(pool_.get(), n, [this, &live, first](std::size_t i) {
+      const Session& s = sessions_[live[first + i]];
+      sim::encode_checkpoint(*s.sim, s.fed, s.fingerprint, ckpt_payloads_[i]);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      sim::write_checkpoint_payload(session_ckpt(live[first + i]),
+                                    ckpt_payloads_[i]);
+    }
+  }
+}
+
 void SessionServer::write_server_checkpoint() {
   // Per-session simulator snapshots first (each rotates its own current ->
   // .prev), then the envelope under the same rotation. A kill anywhere in
@@ -547,12 +577,7 @@ void SessionServer::write_server_checkpoint() {
   ++counters_.ckpt_attempted;
   ++counters_.ckpt_written;
   try {
-    for (const Session& s : sessions_) {
-      if (active(s)) {
-        sim::write_checkpoint(*s.sim, session_ckpt(s.id), s.fed,
-                              s.fingerprint);
-      }
-    }
+    write_session_checkpoints();
     snapshot::Writer w;
     encode_envelope(w);
     const std::string path = envelope_path();

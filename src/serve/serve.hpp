@@ -27,8 +27,9 @@
 //     simulator: per-session SimResults are byte-identical with drills on
 //     or off.
 //   * Crash safety. With checkpointing enabled the server periodically
-//     writes one snapshot per live session (sim::write_checkpoint, rotation
-//     and all) plus a server envelope (tick, counters, every session's
+//     writes one snapshot per live session (encoded in lane-wide parallel
+//     groups, each group then rotated and written serially in id order)
+//     plus a server envelope (tick, counters, every session's
 //     cursors/attempts/injector state, finished results) under the same
 //     current/.prev retention. A restarted server resumes every live
 //     session bit-identically: envelope current, then .prev, then cold; per
@@ -50,7 +51,8 @@
 // the calling thread) -> ingest (serial, id order) ->
 // run one quantum per runnable session (parallel over the pool; each task
 // touches only its own session) -> post-pass (serial, id order: counters,
-// fault/backoff/shed, completions, deadlines) -> checkpoint if due. All
+// fault/backoff/shed, completions, deadlines) -> checkpoint if due (encode
+// in parallel, lanes at a time; write serial, id order). All
 // cross-session aggregation happens in the serial phases, which is what
 // makes the loop thread-count-invariant.
 #pragma once
@@ -304,6 +306,9 @@ class SessionServer {
   sim::CheckpointConfig session_ckpt(std::uint64_t id) const;
   std::string envelope_path() const;
   std::uint64_t fleet_fingerprint() const;
+  /// Encodes every live session's snapshot, `lanes` at a time in parallel,
+  /// and writes each group serially in id order (DESIGN.md §15).
+  void write_session_checkpoints();
   void write_server_checkpoint();
   /// Books one failed checkpoint attempt and schedules the bounded
   /// seeded-backoff re-attempt (see ServeCounters ckpt_* identity).
@@ -323,6 +328,9 @@ class SessionServer {
   std::vector<Session> sessions_;
   std::vector<std::uint32_t> run_;  ///< this tick's runnable slots (id order)
   std::vector<std::uint32_t> wave_;  ///< sessions to materialize (id order)
+  /// One reusable session-snapshot payload buffer per lane; its size is the
+  /// checkpoint encode group width.
+  std::vector<std::vector<std::uint8_t>> ckpt_payloads_;
   std::uint64_t tick_ = 0;
   std::size_t live_count_ = 0;
   bool started_ = false;

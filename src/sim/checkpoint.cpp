@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "io/vfs.hpp"
@@ -61,23 +62,19 @@ std::uint64_t trace_fingerprint(const trace::TraceBatch& batch) {
          static_cast<std::uint64_t>(n);
 }
 
-namespace {
-
-std::vector<std::uint8_t> encode_checkpoint(const Simulator& sim,
-                                            std::uint64_t cursor,
-                                            std::uint64_t fingerprint) {
-  snapshot::Writer w;
+void encode_checkpoint(const Simulator& sim, std::uint64_t cursor,
+                       std::uint64_t fingerprint,
+                       std::vector<std::uint8_t>& out) {
+  snapshot::Writer w(std::move(out));
   w.tag(snapshot::tag4("CKPT"));
   w.u64(cursor);
   w.u64(fingerprint);
   sim.save_state(w);
-  return w.buffer();
+  out = std::move(w).take();
 }
 
-}  // namespace
-
-void write_checkpoint(const Simulator& sim, const CheckpointConfig& ckpt,
-                      std::uint64_t cursor, std::uint64_t fingerprint) {
+void write_checkpoint_payload(const CheckpointConfig& ckpt,
+                              const std::vector<std::uint8_t>& payload) {
   if (ckpt.dir.empty()) {
     throw snapshot::SnapshotError("checkpoint directory is not configured");
   }
@@ -97,7 +94,14 @@ void write_checkpoint(const Simulator& sim, const CheckpointConfig& ckpt,
                                     e.what());
     }
   }
-  snapshot::write_file(current, encode_checkpoint(sim, cursor, fingerprint));
+  snapshot::write_file(current, payload);
+}
+
+void write_checkpoint(const Simulator& sim, const CheckpointConfig& ckpt,
+                      std::uint64_t cursor, std::uint64_t fingerprint) {
+  std::vector<std::uint8_t> payload;
+  encode_checkpoint(sim, cursor, fingerprint, payload);
+  write_checkpoint_payload(ckpt, payload);
 }
 
 void scrub_snapshot_pair(const std::string& current, const std::string& prev,

@@ -99,10 +99,22 @@ ScrubReport scrub_checkpoints(const CheckpointConfig& ckpt);
 /// check at load time instead of producing subtly wrong results.
 std::uint64_t trace_fingerprint(const trace::TraceBatch& batch);
 
-/// Serializes `sim` plus the resume envelope (cursor, trace fingerprint) and
-/// installs it as the current snapshot: the previous current is rotated to
-/// .prev first, then the new bytes land via write-temp-and-rename. A crash
-/// anywhere in between leaves at least one complete snapshot behind.
+/// Serializes `sim` plus the resume envelope (cursor, trace fingerprint)
+/// into `out`, replacing its contents but keeping its capacity. Pure CPU
+/// work — no file is touched — so callers may encode distinct simulators
+/// concurrently and write the payloads afterwards, in an order they choose.
+void encode_checkpoint(const Simulator& sim, std::uint64_t cursor,
+                       std::uint64_t fingerprint,
+                       std::vector<std::uint8_t>& out);
+
+/// Installs an encode_checkpoint() payload as the current snapshot: the
+/// previous current is rotated to .prev first, then the new bytes land via
+/// write-temp-and-rename. A crash anywhere in between leaves at least one
+/// complete snapshot behind.
+void write_checkpoint_payload(const CheckpointConfig& ckpt,
+                              const std::vector<std::uint8_t>& payload);
+
+/// encode_checkpoint() followed by write_checkpoint_payload().
 void write_checkpoint(const Simulator& sim, const CheckpointConfig& ckpt,
                       std::uint64_t cursor, std::uint64_t fingerprint);
 

@@ -64,18 +64,9 @@ std::uint32_t crc32(const void* data, std::size_t size) {
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-std::uint64_t Reader::get(int bytes) {
-  if (size_ - pos_ < static_cast<std::size_t>(bytes)) {
-    throw SnapshotError("truncated payload (wanted " + std::to_string(bytes) +
-                        " bytes, " + std::to_string(size_ - pos_) + " left)");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += static_cast<std::size_t>(bytes);
-  return v;
+void Reader::truncated(std::size_t wanted) const {
+  throw SnapshotError("truncated payload (wanted " + std::to_string(wanted) +
+                      " bytes, " + std::to_string(size_ - pos_) + " left)");
 }
 
 bool Reader::b() {

@@ -16,6 +16,9 @@
 //     sessions finalize with partial results.
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -450,6 +453,124 @@ TEST_F(ServeTest, MissingCheckpointsColdStartStillMatches) {
   EXPECT_FALSE(cold.recovery().resumed);
   EXPECT_TRUE(cold.outcomes() == reference.outcomes());
   EXPECT_TRUE(cold.counters() == reference.counters());
+}
+
+TEST_F(ServeTest, CheckpointingOffServesTheSameFleet) {
+  // With checkpointing off no trace is fingerprinted and nothing is written;
+  // the served results must not notice.
+  serve::SessionServer with(chaos_config(subdir("ckpt")), 2);
+  with.add_fleet(small_fleet());
+  with.serve();
+  serve::SessionServer without(chaos_config(""), 2);
+  without.add_fleet(small_fleet());
+  without.serve();
+  ASSERT_GT(with.counters().ckpt_written, 0u);
+  EXPECT_EQ(without.counters().ckpt_attempted, 0u);
+  EXPECT_TRUE(without.outcomes() == with.outcomes());
+  EXPECT_TRUE(without.summary() == with.summary());
+  // Every counter but the checkpoint ledger agrees too.
+  serve::ServeCounters c = without.counters();
+  c.ckpt_attempted = with.counters().ckpt_attempted;
+  c.ckpt_written = with.counters().ckpt_written;
+  c.ckpt_degraded = with.counters().ckpt_degraded;
+  EXPECT_TRUE(c == with.counters());
+  expect_reconciled(without);
+}
+
+/// Every file in `dir`, keyed by name.
+std::map<std::string, std::string> file_bytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST_F(ServeTest, MidRunCheckpointFilesAreThreadCountInvariant) {
+  // Ticks 4 and 8 checkpoint with six sessions live, encoded one at a time
+  // (1 thread), in three groups of two (2 threads) or in a group of four
+  // plus a remainder of two (4 threads). Every file must come out
+  // byte-identical.
+  std::map<std::string, std::string> serial;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const std::string dir =
+        subdir(("threads-" + std::to_string(threads)).c_str());
+    serve::SessionServer server(wide_wave_config(dir), threads);
+    server.add_fleet(fleet_of(12));
+    for (int i = 0; i < 9; ++i) ASSERT_TRUE(server.tick());
+    ASSERT_EQ(server.counters().ckpt_written, 2u);
+    ASSERT_EQ(server.live_sessions(), 6u);
+    const auto files = file_bytes(dir);
+    if (threads == 1) {
+      serial = files;
+      ASSERT_EQ(serial.count("server.snap"), 1u);
+      ASSERT_EQ(serial.count("server.snap.prev"), 1u);
+      std::size_t sessions = 0;
+      for (const auto& [name, bytes] : serial) {
+        if (name.starts_with("session_") && name.ends_with(".snap")) {
+          ++sessions;
+        }
+      }
+      EXPECT_EQ(sessions, 6u);
+      continue;
+    }
+    ASSERT_EQ(files.size(), serial.size()) << threads;
+    for (const auto& [name, bytes] : serial) {
+      const auto it = files.find(name);
+      ASSERT_NE(it, files.end()) << name << " @" << threads;
+      EXPECT_TRUE(it->second == bytes) << name << " @" << threads;
+    }
+  }
+}
+
+TEST_F(ServeTest, StorageFaultTrailIsThreadCountInvariant) {
+  // ENOSPC degrades checkpoints, torn writes corrupt them silently; both
+  // draw from an injector whose decisions depend on the order of VFS
+  // operations. Identical trails at 1 and 4 threads show the parallel
+  // encode left that order alone. One directory, emptied between runs, so
+  // the notes' paths agree too.
+  io::IoFaultPlan plan;
+  plan.seed = 0x70A5;
+  plan.rate[static_cast<int>(io::IoFaultClass::kEnospc)] = 0.15;
+  plan.rate[static_cast<int>(io::IoFaultClass::kTornWrite)] = 0.15;
+  const std::string dir = subdir("storm");
+  struct Trail {
+    std::uint64_t enospc = 0;
+    std::uint64_t torn = 0;
+    serve::ServeCounters counters;
+    std::vector<std::string> notes;
+    std::vector<serve::SessionOutcome> outcomes;
+  };
+  std::vector<Trail> trails;
+  for (const std::size_t threads : {1u, 4u}) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    io::IoFaultInjector shim(plan);
+    serve::SessionServer server(wide_wave_config(dir), threads);
+    server.add_fleet(fleet_of(12));
+    {
+      io::ScopedFaultInjector armed(&shim);
+      server.serve();
+    }
+    expect_reconciled(server);
+    trails.push_back({shim.injected(io::IoFaultClass::kEnospc),
+                      shim.injected(io::IoFaultClass::kTornWrite),
+                      server.counters(), server.recovery().notes,
+                      server.outcomes()});
+  }
+  const Trail& serial = trails[0];
+  const Trail& pooled = trails[1];
+  EXPECT_GT(serial.enospc, 0u);
+  EXPECT_GT(serial.torn, 0u);
+  EXPECT_GT(serial.counters.ckpt_degraded, 0u);
+  EXPECT_EQ(pooled.enospc, serial.enospc);
+  EXPECT_EQ(pooled.torn, serial.torn);
+  EXPECT_EQ(pooled.counters.ckpt_degraded, serial.counters.ckpt_degraded);
+  EXPECT_TRUE(pooled.counters == serial.counters);
+  EXPECT_EQ(pooled.notes, serial.notes);
+  EXPECT_TRUE(pooled.outcomes == serial.outcomes);
 }
 
 TEST(Serve, AddSessionAfterStartThrows) {

@@ -2,7 +2,9 @@
 //
 // Three layers of guarantees:
 //   * Codec: Writer/Reader round-trip every primitive (doubles as IEEE-754
-//     bit patterns), and the Reader rejects malformed input — truncation,
+//     bit patterns), emit exactly the bytewise little-endian layout (fresh
+//     or recycled buffer), decode at any alignment, and the Reader rejects
+//     malformed input — truncation,
 //     out-of-range bools, tag desync, trailing bytes — by throwing
 //     SnapshotError, never by reading out of bounds (run under ASan via the
 //     sanitize job).
@@ -17,9 +19,11 @@
 //     bump snapshot::kFormatVersion and regenerate the golden with
 //     PLANARIA_WRITE_GOLDEN=1 (see SnapshotGolden below).
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -160,6 +164,135 @@ TEST(SnapshotCodec, ReaderRejectsMalformedInput) {
     snapshot::Reader r(w.buffer());
     r.u8();
     EXPECT_THROW(r.require_end(), snapshot::SnapshotError);  // trailing byte
+  }
+}
+
+/// Bytewise little-endian reference encoding of the low `n` bytes of `v`:
+/// the layout every fixed-width Writer method must emit, whatever the host
+/// byte order or the append strategy.
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(SnapshotCodec, FixedWidthEncodingMatchesBytewiseReference) {
+  const std::uint64_t edges[] = {
+      0,
+      ~0ull,                    // all ones
+      1ull << 63,               // sign bit (and -0.0 as a double)
+      0x7FF8'0000'DEAD'BEEFull, // quiet NaN with a payload
+      0xFFF0'0000'0000'0001ull, // negative signalling-NaN pattern
+      0x0123'4567'89AB'CDEFull,
+      0x8000'0001'8001'8081ull, // sign bit of every narrower width
+  };
+  for (const std::uint64_t v : edges) {
+    snapshot::Writer w;
+    w.u16(static_cast<std::uint16_t>(v));
+    w.u32(static_cast<std::uint32_t>(v));
+    w.u64(v);
+    w.i64(static_cast<std::int64_t>(v));
+    w.f64(std::bit_cast<double>(v));
+    std::vector<std::uint8_t> want;
+    append_le(want, v, 2);
+    append_le(want, v, 4);
+    append_le(want, v, 8);
+    append_le(want, v, 8);
+    append_le(want, v, 8);
+    EXPECT_EQ(w.buffer(), want) << std::hex << v;
+
+    snapshot::Reader r(w.buffer());
+    EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(v));
+    EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(v));
+    EXPECT_EQ(r.u64(), v);
+    EXPECT_EQ(r.i64(), static_cast<std::int64_t>(v));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), v) << std::hex << v;
+    r.require_end();
+  }
+}
+
+TEST(SnapshotCodec, TakeMovesTheBytesOutAndEmptiesTheWriter) {
+  snapshot::Writer w;
+  w.u64(0x0123456789ABCDEFull);
+  w.str("planaria");
+  const std::vector<std::uint8_t> expected = w.buffer();
+  const std::vector<std::uint8_t> taken = std::move(w).take();
+  EXPECT_EQ(taken, expected);
+  EXPECT_TRUE(w.buffer().empty());  // NOLINT(bugprone-use-after-move)
+  w.u8(7);  // still a usable writer
+  EXPECT_EQ(w.buffer(), std::vector<std::uint8_t>{7});
+}
+
+TEST(SnapshotCodec, RecycledBufferWriterMatchesFreshWriter) {
+  const auto encode = [](snapshot::Writer& w) {
+    const std::size_t section = w.begin_section(snapshot::tag4("RCYC"));
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      w.u8(static_cast<std::uint8_t>(i));
+      w.u16(static_cast<std::uint16_t>(i * 257));
+      w.u32(static_cast<std::uint32_t>(i * 0x01010101u));
+      w.u64(i * 0x9E3779B97F4A7C15ull);
+      w.f64(static_cast<double>(i) / 7.0);
+      w.b(i % 3 == 0);
+    }
+    w.str("tail");
+    w.end_section(section);
+  };
+  snapshot::Writer fresh;
+  encode(fresh);
+
+  // A buffer holding a longer, different payload: recycling must discard
+  // its bytes but keep its storage, so the re-encode allocates nothing.
+  std::vector<std::uint8_t> stale(3 * fresh.buffer().size(), 0xEE);
+  const std::uint8_t* storage = stale.data();
+  snapshot::Writer recycled(std::move(stale));
+  EXPECT_TRUE(recycled.buffer().empty());
+  encode(recycled);
+  EXPECT_EQ(recycled.buffer(), fresh.buffer());
+  EXPECT_EQ(recycled.buffer().data(), storage);
+
+  // And again, through take(): the second generation matches too.
+  snapshot::Writer again(std::move(recycled).take());
+  encode(again);
+  EXPECT_EQ(again.buffer(), fresh.buffer());
+  EXPECT_EQ(again.buffer().data(), storage);
+}
+
+TEST(SnapshotCodec, ReaderDecodesUnalignedAndRejectsTruncation) {
+  snapshot::Writer values;
+  values.u64(0x0123456789ABCDEFull);
+  values.u32(0xDEADBEEFu);
+  values.u16(0xBEEF);
+  values.i64(-2);
+  values.f64(-1.5);
+  const std::vector<std::uint8_t>& bytes = values.buffer();
+  // The payload lands at every offset mod 8 of an 8-aligned arena, so each
+  // multi-byte load meets every misalignment.
+  std::vector<std::uint64_t> arena(bytes.size() / 8 + 3);
+  auto* base = reinterpret_cast<std::uint8_t*>(arena.data());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::memcpy(base + offset, bytes.data(), bytes.size());
+    snapshot::Reader r(base + offset, bytes.size());
+    EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull) << offset;
+    EXPECT_EQ(r.u32(), 0xDEADBEEFu) << offset;
+    EXPECT_EQ(r.u16(), 0xBEEF) << offset;
+    EXPECT_EQ(r.i64(), -2) << offset;
+    EXPECT_EQ(r.f64(), -1.5) << offset;
+    r.require_end();
+
+    // Every proper prefix of each width throws and consumes nothing.
+    for (const int width : {2, 4, 8}) {
+      for (int keep = 0; keep < width; ++keep) {
+        snapshot::Reader t(base + offset, static_cast<std::size_t>(keep));
+        if (width == 2) {
+          EXPECT_THROW(t.u16(), snapshot::SnapshotError);
+        } else if (width == 4) {
+          EXPECT_THROW(t.u32(), snapshot::SnapshotError);
+        } else {
+          EXPECT_THROW(t.u64(), snapshot::SnapshotError);
+        }
+        EXPECT_EQ(t.position(), 0u) << width << " " << keep;
+      }
+    }
   }
 }
 
@@ -561,6 +694,29 @@ TEST_F(SnapshotFileTest, ResumeMatchesUninterruptedRunBitForBit) {
                                sim::PrefetcherKind::kPlanaria),
                            "planaria", b, ckpt.current_path()),
                snapshot::SnapshotError);
+}
+
+TEST_F(SnapshotFileTest, EncodedPayloadIsWhatWriteCheckpointInstalls) {
+  const auto t = test_trace(8000);
+  const trace::TraceBatch b(t);
+  const auto part = warmed(sim::PrefetcherKind::kPlanaria, b, 4000);
+  const std::uint64_t fingerprint = sim::trace_fingerprint(b);
+  sim::CheckpointConfig ckpt;
+  ckpt.dir = dir_.string();
+  ckpt.every = 4000;
+  sim::write_checkpoint(*part, ckpt, 4000, fingerprint);
+  const auto installed = snapshot::read_file(ckpt.current_path());
+
+  // Encoding into a recycled buffer that holds stale, longer bytes yields
+  // exactly the payload write_checkpoint installed.
+  std::vector<std::uint8_t> payload(3 * installed.size(), 0xEE);
+  sim::encode_checkpoint(*part, 4000, fingerprint, payload);
+  EXPECT_EQ(payload, installed);
+
+  // The split write step rotates exactly as write_checkpoint does.
+  sim::write_checkpoint_payload(ckpt, payload);
+  EXPECT_EQ(snapshot::read_file(ckpt.prev_path()), installed);
+  EXPECT_EQ(snapshot::read_file(ckpt.current_path()), installed);
 }
 
 TEST_F(SnapshotFileTest, FingerprintMismatchForcesColdStart) {
