@@ -23,9 +23,6 @@ DramChannel::DramChannel(const DramConfig& config)
 }
 
 bool DramChannel::submit(const DramRequest& request) {
-  // Any accepted (or coalesced) request can change what the scheduler would
-  // issue next; drop the cached next-event bound.
-  next_event_valid_ = false;
   // `arrival` may be earlier than now_: the controller can have fast-forwarded
   // through refresh while the request was in flight toward it. earliest
   // command scheduling clamps to max(now_, arrival).
@@ -131,20 +128,15 @@ DramChannel::Candidate DramChannel::earliest_command(const Queued& q) const {
   return c;
 }
 
-bool DramChannel::pick(const std::vector<Queued>& queue, Candidate& out,
-                       Cycle& min_when) const {
+bool DramChannel::pick(const std::vector<Queued>& queue,
+                       Candidate& out) const {
   if (queue.empty()) return false;
 
   // Anti-starvation: a request past the age cap preempts FR-FCFS ordering.
-  // The winner's own time is the channel's next-event bound here: while the
-  // starved request stays at the front (and it does — only its own issue
-  // removes it), every later pick considers it alone, so no earlier command
-  // can materialize without new state.
   const Queued& oldest = queue.front();
   if (now_ > oldest.req.arrival + kStarvationAge) {
     out = earliest_command(oldest);
     out.index = 0;
-    min_when = out.when;
     PLANARIA_DASSERT_MSG(pick_matches_reference(queue, true, out),
                          "FR-FCFS picker diverged from the reference scan");
     return true;
@@ -156,7 +148,6 @@ bool DramChannel::pick(const std::vector<Queued>& queue, Candidate& out,
   if (queue.size() == 1) {
     out = earliest_command(oldest);
     out.index = 0;
-    min_when = out.when;
     PLANARIA_DASSERT_MSG(pick_matches_reference(queue, true, out),
                          "FR-FCFS picker diverged from the reference scan");
     return true;
@@ -192,7 +183,6 @@ bool DramChannel::pick(const std::vector<Queued>& queue, Candidate& out,
   out = (have_demand && best_demand.when <= best_any.when + kPrefetchSlack)
             ? best_demand
             : best_any;
-  min_when = best_any.when;
   PLANARIA_DASSERT_MSG(pick_matches_reference(queue, true, out),
                        "FR-FCFS picker diverged from the reference scan");
   return true;
@@ -401,8 +391,6 @@ void DramChannel::perform_refresh(Cycle at) {
   ++counters_.refreshes;
 }
 
-bool DramChannel::write_drain_mode() const { return draining_writes_; }
-
 Cycle DramChannel::exit_powerdown(Cycle when) {
   // Controller policy: enter CKE-low after powerdown_idle_threshold idle
   // cycles (a policy knob well above tCKE's minimum pulse width); exiting
@@ -421,28 +409,6 @@ Cycle DramChannel::exit_powerdown(Cycle when) {
 void DramChannel::advance(Cycle until) {
   if (until < now_) until = now_;
   const auto& ctrl = config_.controller;
-
-  // Event jump: when the cached bound says nothing can issue by `until` and
-  // no refresh deadline falls due either, the whole preamble below is a
-  // no-op (the hysteresis already reached its fixed point when the bound was
-  // cached, and candidate issue times are independent of now_ below the
-  // bound), so the clock moves in O(1). The oracle assertion re-runs the
-  // full picker to prove the skip changed nothing.
-  if (next_event_valid_ && refresh_due_ > until && next_event_when_ > until) {
-    PLANARIA_DASSERT_MSG(
-        [&] {
-          Candidate c;
-          Cycle mw = 0;
-          const std::vector<Queued>& active =
-              draining_writes_ ? write_q_ : read_q_;
-          return !pick(active, c, mw) || mw > until;
-        }(),
-        "next-event cache skipped an issuable command");
-    now_ = until;
-    counters_.elapsed = now_;
-    return;
-  }
-  next_event_valid_ = false;
 
   while (true) {
     // Refresh debt: every deadline that has passed becomes one owed refresh.
@@ -474,29 +440,16 @@ void DramChannel::advance(Cycle until) {
 
     std::vector<Queued>& active = draining_writes_ ? write_q_ : read_q_;
     Candidate cand;
-    Cycle min_when = 0;
-    if (!pick(active, cand, min_when)) {
-      // Idle: fast-forward refresh deadlines up to `until`, then stop. With
-      // both queues empty every owed refresh was already performed above, so
-      // the next event is the next deadline — cacheable as "infinitely far"
-      // on the command side.
+    if (!pick(active, cand)) {
+      // Idle: fast-forward refresh deadlines up to `until`, then stop.
       while (read_q_.empty() && write_q_.empty() && refresh_due_ <= until) {
         perform_refresh(refresh_due_);
         refresh_due_ += refresh_interval_;
       }
-      if (read_q_.empty() && write_q_.empty()) {
-        next_event_valid_ = true;
-        next_event_when_ = ~Cycle{0};
-      }
       break;
     }
-    if (cand.when > until) {
-      // Nothing issuable by the horizon: min_when lower-bounds the next
-      // command for every later advance() until new state arrives.
-      next_event_valid_ = true;
-      next_event_when_ = min_when;
-      break;
-    }
+    // Nothing issuable by the horizon: the clock jumps straight to it below.
+    if (cand.when > until) break;
     cand.when = exit_powerdown(cand.when);
     issue(active, cand);
   }
@@ -626,7 +579,6 @@ void DramChannel::save_state(snapshot::Writer& w) const {
 }
 
 void DramChannel::load_state(snapshot::Reader& r) {
-  next_event_valid_ = false;  // derived state; never trust it across a restore
   r.expect_tag(snapshot::tag4("DRM0"));
   if (r.u64() != banks_.size()) {
     throw snapshot::SnapshotError("DRAM bank count mismatch");

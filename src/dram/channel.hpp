@@ -5,8 +5,10 @@
 // TimingConfig, FR-FCFS scheduling with demand-over-prefetch priority and an
 // anti-starvation age cap, buffered writes with high/low watermark draining,
 // write-to-read forwarding, and all-bank refresh with LPDDR4-style
-// postponement. The simulation is event-driven: time jumps straight to the
-// next issuable command, so idle periods cost nothing.
+// postponement. The simulation is event-driven: every advance() runs the
+// same refresh, write-drain and FR-FCFS pick path, and the clock jumps from
+// command to command and then straight to the caller's horizon, so idle
+// periods cost nothing.
 //
 // The controller is open-loop (trace-driven): demand requests are always
 // accepted (an over-full read queue is counted, mirroring a stalled-bus
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "common/block_map.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "dram/config.hpp"
 #include "snapshot/snapshot.hpp"
@@ -86,7 +87,6 @@ class DramChannel {
   /// lifts; only timing shifts, so no contract can fire from this class.
   void inject_stall(Cycle cycles) {
     next_cmd_ok_ = std::max(next_cmd_ok_, now_ + cycles);
-    next_event_valid_ = false;
   }
 
   /// Completions accumulated since the last call (sorted by finish cycle).
@@ -152,11 +152,7 @@ class DramChannel {
   }
 
   /// Picks the FR-FCFS winner from `queue`; returns false if empty.
-  /// `min_when` receives the earliest issue time over ALL candidates (the
-  /// winner's own time under anti-starvation) — the lower bound advance()
-  /// caches as the channel's next event.
-  bool pick(const std::vector<Queued>& queue, Candidate& out,
-            Cycle& min_when) const;
+  bool pick(const std::vector<Queued>& queue, Candidate& out) const;
 
   /// The original O(queue) FR-FCFS scan, kept verbatim as the oracle the
   /// production picker is cross-checked against under PLANARIA_DASSERT
@@ -174,7 +170,6 @@ class DramChannel {
   /// since the last command, it entered CKE-low power-down and the next
   /// command at `when` pays the tXP exit penalty. Returns the adjusted time.
   Cycle exit_powerdown(Cycle when);
-  bool write_drain_mode() const;
   Cycle rank_act_ready(Cycle t, int rank) const;
 
   DramConfig config_;
@@ -245,18 +240,6 @@ class DramChannel {
   bool draining_writes_ = false;
   std::uint64_t order_counter_ = 0;
   ChannelCounters counters_;
-
-  // Next-event cache (NOT serialized — pure derived state). When valid, no
-  // command can issue strictly before next_event_when_ as long as the
-  // queues, bank and bus state are untouched; candidate issue times do not
-  // depend on now_ below that bound, so jumping the clock is exact. Set
-  // when advance() stops with nothing issuable by its horizon; invalidated
-  // by submit(), inject_stall() and load_state(). Refresh deadlines are
-  // checked separately against refresh_due_. Lets advance() jump to `until`
-  // in O(1) instead of re-running the refresh/hysteresis/pick preamble only
-  // to conclude "nothing yet".
-  bool next_event_valid_ = false;
-  Cycle next_event_when_ = 0;
 
   /// Requests older than this many cycles win over row hits (anti-starvation).
   static constexpr Cycle kStarvationAge = 2000;

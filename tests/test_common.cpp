@@ -1,4 +1,4 @@
-// Unit tests for the common substrate: geometry, bitmaps, RNG, stats, tables.
+// Unit tests for the common substrate: geometry, bitmaps, RNG, tables.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,7 +6,6 @@
 #include "common/bitmap.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 
@@ -221,50 +220,6 @@ TEST(Rng, BurstLengthRespectsCap) {
     EXPECT_GE(len, 1);
     EXPECT_LE(len, 5);
   }
-}
-
-// ------------------------------------------------------------------- stats
-
-TEST(Stats, CounterAccumulates) {
-  Counter c;
-  c.add();
-  c.add(10);
-  EXPECT_EQ(c.value(), 11u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, AccumulatorTracksMoments) {
-  Accumulator a;
-  EXPECT_EQ(a.mean(), 0.0);
-  a.add(2.0);
-  a.add(4.0);
-  a.add(6.0);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-}
-
-TEST(Stats, HistogramBucketsAndQuantiles) {
-  Histogram h(10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.bucket(0), 10u);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 10.0);
-  h.add(1e9);  // overflow lands in the last bucket
-  EXPECT_EQ(h.bucket(9), 11u);
-}
-
-TEST(Stats, StatSetDumpsCountersAndAccumulators) {
-  StatSet set;
-  set.counter("hits").add(5);
-  set.accumulator("latency").add(100.0);
-  set.accumulator("latency").add(200.0);
-  const auto snap = set.dump();
-  EXPECT_EQ(snap.at("hits"), 5.0);
-  EXPECT_EQ(snap.at("latency.count"), 2.0);
-  EXPECT_EQ(snap.at("latency.mean"), 150.0);
 }
 
 // --------------------------------------------------------------- LruTable

@@ -836,12 +836,13 @@ TEST(LintRepo, EveryConfigLineIsLoadBearing) {
       }
     }
   }
-  // The committed config declares 9 layer lines, 7 allow edges, 1 hot-stop
-  // (dropping the stop floods the hot family with thread-pool internals),
-  // and 1 volatile-member (dropping it resurfaces the DramChannel
-  // next-event-cache finding); a rewrite that shrinks it should be a
-  // deliberate act, visible here.
-  EXPECT_EQ(mutations, 18);
+  // The committed config declares 9 layer lines, 7 allow edges and 1
+  // hot-stop (dropping the stop floods the hot family with thread-pool
+  // internals). It carries no volatile-member waiver: the real tree has no
+  // unserialized hot-path state, and a waiver added later joins this count
+  // and must be load-bearing too. A rewrite that shrinks the config should
+  // be a deliberate act, visible here.
+  EXPECT_EQ(mutations, 17);
   fs::remove_all(scratch);
 }
 

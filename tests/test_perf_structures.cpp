@@ -7,10 +7,10 @@
 // implementation that keeps the original linear-scan semantics, and every
 // return value plus the canonical save_state encoding must agree at every
 // step. The DRAM section replays identical request schedules — shaped by
-// all six fault classes — through a channel whose next-event cache is live
-// and a twin whose cache is destroyed before every advance, under both
-// per-cycle stepping and the simulator's coarse event jumps: the cache must
-// be exactly invisible, never merely close.
+// all six fault classes — through a live channel and a twin rebuilt from its
+// own snapshot before every advance, under both per-cycle stepping and the
+// simulator's coarse event jumps: the round-trip must be exactly invisible,
+// never merely close.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -493,18 +493,16 @@ TEST(DifferentialBlockMap, MatchesUnorderedMapOverRandomOps) {
 // debt are both measured against now_. Two channels fed *different* advance
 // granularities therefore legitimately diverge (a starvation flip or a
 // forced refresh lands wherever the caller's horizon put the clock) — that
-// is inherited controller behavior the bit-identity contract freezes, not an
-// artifact of this PR. What the event-driven rewrite must guarantee is that
-// the next-event cache is invisible: for the SAME sequence of advance()
-// calls, a channel whose cache is live behaves bit-identically to one whose
-// cache is destroyed before every call. These tests pin that under the two
-// call patterns that matter — per-cycle stepping (the cache fast path fires
-// on almost every call) and coarse event jumps (the simulator's real
+// is inherited controller behavior the bit-identity contract freezes. What
+// must hold is that a snapshot round-trip is invisible: for the SAME
+// sequence of advance() calls, a live channel behaves bit-identically to one
+// rebuilt from its own snapshot before every call. These tests pin that
+// under the two call patterns that matter — per-cycle stepping (a round-trip
+// before almost every cycle) and coarse event jumps (the simulator's real
 // pattern) — across request schedules shaped by all six fault classes.
 //
-// The cache is destroyed through a full snapshot round-trip, which rebuilds
-// every piece of derived state (next-event bound, write-queue membership
-// shadow) from the serialized ground truth; the round-trip doubles as a
+// The round-trip rebuilds the one piece of derived state, the write-queue
+// membership shadow, from the serialized queue, and doubles as a
 // restore-purity stress on 10^4 distinct mid-flight channel states.
 
 // One scheduled interaction with the channel: either a request submission or
@@ -580,8 +578,9 @@ std::vector<std::uint8_t> channel_bytes(const dram::DramChannel& ch) {
   return w.buffer();
 }
 
-// Destroys all derived state (the next-event cache above all) by rebuilding
-// the channel from its own canonical snapshot.
+// Rebuilds the channel from its own canonical snapshot, so every piece of
+// derived state (the write-queue membership shadow) is recomputed from the
+// serialized ground truth.
 void scrub_derived_state(dram::DramChannel& ch) {
   const std::vector<std::uint8_t> bytes = channel_bytes(ch);
   snapshot::Reader r(bytes);
@@ -595,8 +594,7 @@ struct ReplayResult {
 
 /// Replays `plan` through a fresh channel. `cycle_step` advances the clock
 /// one cycle at a time instead of jumping to each event; `scrub` round-trips
-/// the channel through a snapshot before every advance, so the next-event
-/// cache can never be consulted.
+/// the channel through a snapshot before every advance.
 ReplayResult replay(const std::vector<PlanEvent>& plan, bool cycle_step,
                     bool scrub) {
   dram::DramConfig config;  // Table 1 defaults — refresh stays live
@@ -655,29 +653,31 @@ void expect_same_replay(const ReplayResult& a, const ReplayResult& b) {
   EXPECT_EQ(a.final_state, b.final_state);
 }
 
-TEST(DifferentialDram, CachedCycleSteppingMatchesUncachedAcrossFaultClasses) {
+TEST(DifferentialDram,
+     SnapshotRoundTripBeforeEveryCycleStepIsInvisibleAcrossFaultClasses) {
   for (int fc = 0; fc < fault::kFaultClassCount; ++fc) {
     const auto fault_class = static_cast<fault::FaultClass>(fc);
     SCOPED_TRACE(fault::fault_class_name(fault_class));
     const std::vector<PlanEvent> plan = make_plan(fault_class);
-    const ReplayResult cached =
+    const ReplayResult live =
         replay(plan, /*cycle_step=*/true, /*scrub=*/false);
-    const ReplayResult uncached =
+    const ReplayResult scrubbed =
         replay(plan, /*cycle_step=*/true, /*scrub=*/true);
-    expect_same_replay(cached, uncached);
+    expect_same_replay(live, scrubbed);
   }
 }
 
-TEST(DifferentialDram, CachedEventJumpsMatchUncachedAcrossFaultClasses) {
+TEST(DifferentialDram,
+     SnapshotRoundTripBeforeEveryEventJumpIsInvisibleAcrossFaultClasses) {
   for (int fc = 0; fc < fault::kFaultClassCount; ++fc) {
     const auto fault_class = static_cast<fault::FaultClass>(fc);
     SCOPED_TRACE(fault::fault_class_name(fault_class));
     const std::vector<PlanEvent> plan = make_plan(fault_class);
-    const ReplayResult cached =
+    const ReplayResult live =
         replay(plan, /*cycle_step=*/false, /*scrub=*/false);
-    const ReplayResult uncached =
+    const ReplayResult scrubbed =
         replay(plan, /*cycle_step=*/false, /*scrub=*/true);
-    expect_same_replay(cached, uncached);
+    expect_same_replay(live, scrubbed);
   }
 }
 

@@ -55,8 +55,11 @@
 //      interprocedural race-* / hot-* families (DESIGN.md §13). Any
 //      unsuppressed finding fails the gate.
 //
-// Exit codes: 0 = clean, 1 = an audit check failed, 2 = self-test failed.
+// Exit codes: 0 = clean, 1 = an audit check failed or an argument was
+// malformed, 2 = self-test failed.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,7 +74,6 @@
 #include "check/contract.hpp"
 #include "common/rng.hpp"
 #include "lint/lint.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "core/storage.hpp"
 #include "core/storage_layout.hpp"
@@ -89,7 +91,6 @@ namespace {
 using planaria::Cycle;
 using planaria::kBlocksPerSegment;
 using planaria::kChannels;
-using planaria::StatSet;
 namespace check = planaria::check;
 namespace core = planaria::core;
 namespace fault = planaria::fault;
@@ -289,10 +290,13 @@ void replay_audit(std::uint64_t records, std::uint64_t seed) {
     }
   }
 
-  StatSet stats;
-  check::export_violations(stats);
-  for (const auto& [name, value] : stats.dump()) {
-    std::printf("  %-50s %.0f\n", name.c_str(), value);
+  for (int i = 0; i < check::kCategoryCount; ++i) {
+    const auto category = static_cast<check::Category>(i);
+    const std::string name =
+        std::string("contract.violations.") + check::category_name(category);
+    std::printf("  %-50s %llu\n", name.c_str(),
+                static_cast<unsigned long long>(
+                    check::violation_count(category)));
   }
   expect(check::total_violations() == 0,
          "no contract violations across all replays");
@@ -1177,6 +1181,27 @@ void lint_audit() {
   }
 }
 
+/// Parses a decimal u64 flag value. strtoull accepts a sign and wraps "-1"
+/// to 2^64-1, and stops silently at the first non-digit, so the token must
+/// start with a digit and be consumed whole.
+bool parse_u64(const char* text, std::uint64_t& out) {
+  if (std::isdigit(static_cast<unsigned char>(*text)) == 0) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: planaria-audit [--records N] [--seed S] "
+               "[--stage all|self-test|static|lint|replay|chaos|crash|serve|"
+               "storm]\n");
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1188,24 +1213,28 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0xA0D17;
   std::string stage = "all";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--records") == 0 && i + 1 < argc) {
-      records = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--stage") == 0 && i + 1 < argc) {
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--records") == 0 && has_value) {
+      if (!parse_u64(argv[++i], records) || records == 0) {
+        std::fprintf(stderr,
+                     "planaria-audit: --records must be a positive integer, "
+                     "got '%s'\n",
+                     argv[i]);
+        return usage();
+      }
+    } else if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
+      if (!parse_u64(argv[++i], seed)) {
+        std::fprintf(stderr,
+                     "planaria-audit: --seed must be a non-negative integer, "
+                     "got '%s'\n",
+                     argv[i]);
+        return usage();
+      }
+    } else if (std::strcmp(argv[i], "--stage") == 0 && has_value) {
       stage = argv[++i];
     } else {
-      std::fprintf(
-          stderr,
-          "usage: planaria-audit [--records N] [--seed S] "
-          "[--stage all|self-test|static|lint|replay|chaos|crash|serve|"
-          "storm]\n");
-      return 1;
+      return usage();
     }
-  }
-  if (records == 0) {
-    std::fprintf(stderr, "planaria-audit: --records must be >= 1\n");
-    return 1;
   }
   if (stage != "all" && stage != "self-test" && stage != "static" &&
       stage != "lint" && stage != "replay" && stage != "chaos" &&
