@@ -1,8 +1,5 @@
 #include "common/rng.hpp"
 
-#include <bit>
-#include <cmath>
-
 namespace planaria {
 
 namespace {
@@ -22,78 +19,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : s_) word = splitmix64(x);
   // xoshiro must not be seeded with the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  PLANARIA_ASSERT(bound > 0);
-  // Lemire's multiply-shift rejection method: unbiased and fast.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t t = -bound % bound;
-    while (l < t) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
-  PLANARIA_ASSERT(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() {
-  // 53 high bits -> uniform double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
-int Rng::burst_length(double continue_p, int max_len) {
-  PLANARIA_ASSERT(max_len >= 1);
-  int len = 1;
-  while (len < max_len && chance(continue_p)) ++len;
-  return len;
-}
-
-std::uint64_t Rng::next_zipf(std::uint64_t n, double s) {
-  PLANARIA_ASSERT(n > 0);
-  if (n == 1) return 0;
-  // Inverse-CDF over the continuous approximation of the generalized
-  // harmonic number H(k) ~ (k^(1-s) - 1) / (1-s) for s != 1, ln(k) for s == 1.
-  const double u = next_double();
-  double k;
-  const auto nd = static_cast<double>(n);
-  if (std::abs(s - 1.0) < 1e-9) {
-    k = std::exp(u * std::log(nd));
-  } else {
-    const double h = (std::pow(nd, 1.0 - s) - 1.0) / (1.0 - s);
-    k = std::pow(u * h * (1.0 - s) + 1.0, 1.0 / (1.0 - s));
-  }
-  auto rank = static_cast<std::uint64_t>(k);
-  if (rank >= n) rank = n - 1;
-  return rank;
 }
 
 }  // namespace planaria

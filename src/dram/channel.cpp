@@ -497,14 +497,6 @@ void DramChannel::take_completions(std::vector<DramCompletion>& out) {
   out.swap(completions_);
 }
 
-std::vector<DramCompletion> DramChannel::take_completions() {
-  // lint: no-contract(pure forwarder; the sink overload checks timing monotonicity)
-  // lint: suppress(hot-alloc) convenience wrapper for tests; the simulator's step loop uses the sink overload above with a per-channel scratch buffer
-  std::vector<DramCompletion> out;
-  take_completions(out);
-  return out;
-}
-
 void DramChannel::save_state(snapshot::Writer& w) const {
   w.tag(snapshot::tag4("DRM0"));
   w.u64(static_cast<std::uint64_t>(banks_.size()));

@@ -94,7 +94,6 @@ class DramChannel {
   /// so a caller that reuses one scratch vector ping-pongs two allocations
   /// for the channel's whole lifetime instead of reallocating every step.
   void take_completions(std::vector<DramCompletion>& out);
-  std::vector<DramCompletion> take_completions();
 
   /// True iff a data burst (or forwarded read) landed since the last
   /// take_completions(). Lets the per-record step skip the drain call on the

@@ -132,8 +132,9 @@ const std::vector<SessionOutcome>& SessionServer::outcomes() const {
 }
 
 void SessionServer::materialize(Session& s) const {
-  trace::AppProfile profile = trace::app_by_name(s.spec.app);
-  profile.seed ^= mix64(s.spec.user_seed);
+  const TraceKey key = trace_key(s);
+  trace::AppProfile profile = trace::app_by_name(std::string(key.app));
+  profile.seed ^= mix64(key.user_seed);
   const auto records =
       trace::generate_app_trace(profile, config_.records_per_session);
   s.batch = trace::TraceBatch(records);
@@ -154,10 +155,31 @@ void SessionServer::build_sim(Session& s) const {
 }
 
 void SessionServer::materialize_wave() {
+  // A fleet that A/Bs prefetcher kinds on identical traffic admits several
+  // sessions with one trace key in the same wave; generate each key once.
+  // The split depends only on wave_ and the specs, never on the lanes.
+  std::vector<std::uint32_t> sources;  // first session of each distinct key
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> repeats;  // (s, source)
+  for (const std::uint32_t idx : wave_) {
+    const TraceKey key = trace_key(sessions_[idx]);
+    const auto source = std::find_if(
+        sources.begin(), sources.end(),
+        [&](std::uint32_t src) { return trace_key(sessions_[src]) == key; });
+    if (source == sources.end()) {
+      sources.push_back(idx);
+    } else {
+      repeats.emplace_back(idx, *source);
+    }
+  }
   // Each task reads only its own session's spec and writes only its own
-  // batch and fingerprint, so the wave fans out over the server's lanes.
-  for_each_ready(pool_.get(), wave_.size(),
-                 [this](std::size_t i) { materialize(sessions_[wave_[i]]); });
+  // batch and fingerprint, so the distinct keys fan out over the lanes.
+  for_each_ready(pool_.get(), sources.size(), [this, &sources](std::size_t i) {
+    materialize(sessions_[sources[i]]);
+  });
+  for (const auto& [idx, source] : repeats) {
+    sessions_[idx].batch = sessions_[source].batch;
+    sessions_[idx].fingerprint = sessions_[source].fingerprint;
+  }
 }
 
 void SessionServer::admit_pending() {

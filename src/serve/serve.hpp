@@ -61,6 +61,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analysis.hpp"
@@ -284,8 +285,21 @@ class SessionServer {
 
   void start();
   void admit_pending();
+  /// Everything materialize() reads from a session; the only other input
+  /// is the server-wide records_per_session. Sessions with equal keys get
+  /// byte-identical batches and fingerprints.
+  struct TraceKey {
+    std::string_view app;
+    std::uint64_t user_seed = 0;
+    friend bool operator==(const TraceKey&, const TraceKey&) = default;
+  };
+  static TraceKey trace_key(const Session& s) {
+    return TraceKey{s.spec.app, s.spec.user_seed};
+  }
   void materialize(Session& s) const;  ///< trace + batch + fingerprint
-  /// Runs materialize over every session in wave_, fanned over the lanes.
+  /// Materializes every session in wave_: one fan-out over the lanes for
+  /// the first session of each distinct TraceKey, then serial copies, in id
+  /// order, to the wave's later sessions with the same key.
   void materialize_wave();
   void build_sim(Session& s) const;    ///< fresh Simulator for this session
   void ingest_all();

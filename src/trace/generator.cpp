@@ -1,8 +1,7 @@
 #include "trace/generator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "common/bitmap.hpp"
 #include "trace/io.hpp"
@@ -67,12 +66,16 @@ AccessType pick_type(Rng& rng, double write_fraction) {
 /// partial credit at the SC level; a snapshot prefetcher is indifferent to it.
 PageBitmap random_footprint(Rng& rng, int bits) {
   PageBitmap bm;
-  while (bm.popcount() < bits) {
+  int set = 0;  // bm.popcount(), kept incrementally
+  while (set < bits) {
     const int start = static_cast<int>(rng.next_below(kBlocksPerPage));
     const int run = static_cast<int>(rng.next_range(1, 4));
     for (int i = start; i < start + run && i < kBlocksPerPage; ++i) {
-      if (bm.popcount() >= bits) break;
-      bm.set(i);
+      if (set >= bits) break;
+      if (!bm.test(i)) {
+        bm.set(i);
+        ++set;
+      }
     }
   }
   return bm;
@@ -217,9 +220,10 @@ std::vector<TraceRecord> generate_footprint(const FootprintParams& params,
   std::vector<TraceRecord> out;
   out.reserve(pacing.records);
   Pacer pacer(pacing, rng);
+  const ZipfSampler popularity(pages.size(), params.zipf_s);
   interleave_visits(pacing.records, params.device, params.write_fraction, rng,
                     pacer, out, [&] {
-    auto& page = pages[rng.next_zipf(pages.size(), params.zipf_s)];
+    auto& page = pages[popularity(rng)];
     // Program-phase drift: occasionally move one block of the snapshot. The
     // constituent stays >90% identical visit-to-visit, matching Fig. 4.
     if (rng.chance(params.mutate_p)) {
@@ -244,7 +248,8 @@ std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
   struct Cluster {
     PageNumber origin;
     PageBitmap base;
-    std::vector<int> visited;  ///< page offsets already seen in this cluster
+    std::vector<int> visited;  ///< offsets already seen, in first-visit order
+    std::vector<std::uint8_t> seen;  ///< seen[offset] <=> offset in visited
   };
   std::vector<Cluster> clusters;
   clusters.reserve(static_cast<std::size_t>(params.clusters));
@@ -252,7 +257,9 @@ std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
     clusters.push_back(
         Cluster{params.base_page + static_cast<PageNumber>(c) * params.cluster_stride,
                 random_footprint(rng, params.base_footprint),
-                {}});
+                {},
+                std::vector<std::uint8_t>(
+                    static_cast<std::size_t>(params.cluster_span), 0)});
   }
 
   // Per-page perturbation must be *stable* (the same page always deviates
@@ -297,8 +304,8 @@ std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
     if (explore) {
       offset = static_cast<int>(rng.next_below(
           static_cast<std::uint64_t>(params.cluster_span)));
-      if (std::find(cl.visited.begin(), cl.visited.end(), offset) ==
-          cl.visited.end()) {
+      if (cl.seen[static_cast<std::size_t>(offset)] == 0) {
+        cl.seen[static_cast<std::size_t>(offset)] = 1;
         cl.visited.push_back(offset);
       }
     } else {

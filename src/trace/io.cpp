@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -267,40 +266,46 @@ std::vector<TraceRecord> read_csv(std::istream& is, RecoveryPolicy policy,
 
 std::vector<TraceRecord> merge_sorted(
     const std::vector<std::vector<TraceRecord>>& streams) {
-  // k-way merge by (arrival, stream index) keeps the merge stable.
+  // k-way merge by (arrival, stream index) keeps the merge stable. k is the
+  // generator's component count (at most four), so a linear scan for the
+  // minimum head is cheaper than a heap's push and pop per record.
   struct Head {
     Cycle arrival;
-    std::size_t stream;
-    std::size_t pos;
-    bool operator>(const Head& o) const {
-      return arrival != o.arrival ? arrival > o.arrival : stream > o.stream;
-    }
+    const TraceRecord* at;
+    const TraceRecord* end;
   };
-  std::priority_queue<Head, std::vector<Head>, std::greater<>> heap;
+  std::vector<Head> heads;  // live streams only, in stream-index order
   std::size_t total = 0;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    total += streams[s].size();
-    if (!streams[s].empty()) heap.push(Head{streams[s][0].arrival, s, 0});
+  for (const auto& stream : streams) {
+    total += stream.size();
+    if (!stream.empty()) {
+      heads.push_back(Head{stream.front().arrival, stream.data(),
+                           stream.data() + stream.size()});
+    }
   }
   std::vector<TraceRecord> out;
   out.reserve(total);
-  while (!heap.empty()) {
-    const Head h = heap.top();
-    heap.pop();
-    out.push_back(streams[h.stream][h.pos]);
-    const std::size_t next = h.pos + 1;
-    if (next < streams[h.stream].size()) {
-      // The documented precondition ("inputs must each already be sorted")
-      // was never checked; an unsorted stream silently produced an unsorted
-      // merge that the simulator then rejected far from the cause. O(1) per
-      // record: each element is compared against its stream predecessor once,
-      // when it becomes the stream head. Under kRecover the merge proceeds
-      // best-effort, placing the record by its claimed arrival.
-      PLANARIA_REQUIRE_MSG(kTimingMonotonicity,
-                           streams[h.stream][next].arrival >= h.arrival,
-                           "merge_sorted input stream is not sorted by arrival");
-      heap.push(Head{streams[h.stream][next].arrival, h.stream, next});
+  while (!heads.empty()) {
+    // Strict < keeps the lowest stream index on equal arrivals.
+    std::size_t best = 0;
+    for (std::size_t h = 1; h < heads.size(); ++h) {
+      if (heads[h].arrival < heads[best].arrival) best = h;
     }
+    Head& h = heads[best];
+    out.push_back(*h.at);
+    if (++h.at == h.end) {
+      heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(best));
+      continue;
+    }
+    // The documented precondition ("inputs must each already be sorted")
+    // was never checked; an unsorted stream silently produced an unsorted
+    // merge that the simulator then rejected far from the cause. O(1) per
+    // record: each element is compared against its stream predecessor once,
+    // when it becomes the stream head. Under kRecover the merge proceeds
+    // best-effort, placing the record by its claimed arrival.
+    PLANARIA_REQUIRE_MSG(kTimingMonotonicity, h.at->arrival >= h.arrival,
+                         "merge_sorted input stream is not sorted by arrival");
+    h.arrival = h.at->arrival;
   }
   return out;
 }

@@ -201,11 +201,12 @@ TEST(Rng, ChanceApproximatesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(Rng, ZipfSkewsTowardLowRanks) {
+TEST(ZipfSampler, SkewsTowardLowRanks) {
   Rng rng(17);
+  const ZipfSampler zipf(1000, 0.9);
   std::uint64_t low = 0, high = 0;
   for (int i = 0; i < 20000; ++i) {
-    const auto r = rng.next_zipf(1000, 0.9);
+    const auto r = zipf(rng);
     ASSERT_LT(r, 1000u);
     if (r < 100) ++low;
     if (r >= 900) ++high;
@@ -213,13 +214,11 @@ TEST(Rng, ZipfSkewsTowardLowRanks) {
   EXPECT_GT(low, high * 3);
 }
 
-TEST(Rng, BurstLengthRespectsCap) {
-  Rng rng(19);
-  for (int i = 0; i < 1000; ++i) {
-    const int len = rng.burst_length(0.9, 5);
-    EXPECT_GE(len, 1);
-    EXPECT_LE(len, 5);
-  }
+TEST(ZipfSampler, SingleRankDrawsNothing) {
+  Rng rng(18), untouched(18);
+  const ZipfSampler zipf(1, 0.7);
+  EXPECT_EQ(zipf(rng), 0u);
+  EXPECT_EQ(rng.next(), untouched.next());
 }
 
 // --------------------------------------------------------------- LruTable

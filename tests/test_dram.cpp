@@ -27,7 +27,8 @@ DramCompletion one_read(DramChannel& channel, std::uint64_t block,
   req.tag = block;
   EXPECT_TRUE(channel.submit(req));
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   EXPECT_EQ(done.size(), 1u);
   return done.front();
 }
@@ -160,7 +161,8 @@ TEST(DramChannel, BackToBackReadsRespectTccd) {
     channel.submit(req);
   }
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   ASSERT_EQ(done.size(), 4u);
   for (std::size_t i = 1; i < done.size(); ++i) {
     EXPECT_GE(done[i].finish - done[i - 1].finish,
@@ -179,7 +181,8 @@ TEST(DramChannel, CompletionsSortedByFinish) {
     channel.submit(req);
   }
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   ASSERT_EQ(done.size(), 16u);
   for (std::size_t i = 1; i < done.size(); ++i) {
     EXPECT_GE(done[i].finish, done[i - 1].finish);
@@ -210,7 +213,8 @@ TEST(DramChannel, FrfcfsPrefersRowHits) {
   hit.tag = 2;
   channel.submit(hit);
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0].tag, 2u) << "row hit should be served first";
 }
@@ -231,7 +235,8 @@ TEST(DramChannel, DemandBeatsPrefetchAtSameReadiness) {
   demand.tag = 2;
   channel.submit(demand);
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0].tag, 2u) << "demand should be served first";
 }
@@ -269,7 +274,9 @@ TEST(DramChannel, DemandAcceptedEvenWhenQueueFull) {
   }
   EXPECT_GT(channel.counters().read_queue_overflows, 0u);
   channel.drain();
-  EXPECT_EQ(channel.take_completions().size(), 8u);
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
+  EXPECT_EQ(done.size(), 8u);
 }
 
 // ------------------------------------------------------------------- writes
@@ -284,7 +291,8 @@ TEST(DramChannel, WritesComplete) {
   req.tag = 1;
   channel.submit(req);
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_TRUE(done[0].is_write);
   EXPECT_EQ(channel.counters().writes, 1u);
@@ -320,7 +328,8 @@ TEST(DramChannel, ReadForwardedFromWriteQueue) {
   rd.tag = 2;
   channel.submit(rd);
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
   bool forwarded = false;
   for (const auto& c : done) forwarded |= c.forwarded;
   EXPECT_TRUE(forwarded);
@@ -430,7 +439,9 @@ TEST(MultiRank, TwoRankChannelCompletesAllRequests) {
     channel.submit(req);
   }
   channel.drain();
-  EXPECT_EQ(channel.take_completions().size(), 64u);
+  std::vector<DramCompletion> done;
+  channel.take_completions(done);
+  EXPECT_EQ(done.size(), 64u);
 }
 
 TEST(MultiRank, AlternatingRanksPayTurnaround) {
@@ -454,7 +465,8 @@ TEST(MultiRank, AlternatingRanksPayTurnaround) {
       channel.submit(req);
     }
     channel.drain();
-    const auto done = channel.take_completions();
+    std::vector<DramCompletion> done;
+    channel.take_completions(done);
     return done.back().finish;
   };
   EXPECT_GT(run(true), run(false))
@@ -496,7 +508,9 @@ TEST(PerBankRefresh, BlocksLessThanAllBank) {
       channel.submit(req);
     }
     channel.drain();
-    for (const auto& c : channel.take_completions()) {
+    std::vector<DramCompletion> done;
+    channel.take_completions(done);
+    for (const auto& c : done) {
       latency_sum += static_cast<double>(c.finish - c.arrival);
     }
     return latency_sum / 3000.0;

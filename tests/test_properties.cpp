@@ -189,7 +189,8 @@ TEST_P(SeededProperty, DramConservesRequestsAndOrdersTime) {
     }
   }
   channel.drain();
-  const auto done = channel.take_completions();
+  std::vector<dram::DramCompletion> done;
+  channel.take_completions(done);
   // Conservation: every accepted read completes exactly once; writes complete
   // minus coalesced merges.
   std::uint64_t read_completions = 0, write_completions = 0;
@@ -230,7 +231,9 @@ TEST_P(SeededProperty, DramReadLatencyBounds) {
     channel.submit(req);
   }
   channel.drain();
-  for (const auto& c : channel.take_completions()) {
+  std::vector<dram::DramCompletion> done;
+  channel.take_completions(done);
+  for (const auto& c : done) {
     ASSERT_GE(c.finish - c.arrival, min_latency);
     // Generous upper bound: queue depth x worst-case row cycle.
     ASSERT_LT(c.finish - c.arrival, 100000u);

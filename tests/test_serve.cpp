@@ -20,6 +20,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -571,6 +572,125 @@ TEST_F(ServeTest, StorageFaultTrailIsThreadCountInvariant) {
   EXPECT_TRUE(pooled.counters == serial.counters);
   EXPECT_EQ(pooled.notes, serial.notes);
   EXPECT_TRUE(pooled.outcomes == serial.outcomes);
+}
+
+/// An A/B fleet: four traffic streams, each served by three prefetcher
+/// kinds on identical traffic, kind-major, so (app, user_seed) repeats
+/// inside the first six-session admission wave and again across later
+/// waves. Streams 0 and 1 share an app and streams 1 and 3 share a user
+/// seed, so neither half of the trace key alone identifies a trace.
+std::vector<serve::SessionSpec> ab_fleet() {
+  const std::pair<const char*, std::uint64_t> traffic[] = {
+      {"HoK", 7}, {"HoK", 8}, {"Fort", 9}, {"TikT", 8}};
+  const sim::PrefetcherKind kinds[] = {sim::PrefetcherKind::kPlanaria,
+                                       sim::PrefetcherKind::kStride,
+                                       sim::PrefetcherKind::kNone};
+  std::vector<serve::SessionSpec> fleet;
+  for (const sim::PrefetcherKind kind : kinds) {
+    for (const auto& [app, seed] : traffic) {
+      serve::SessionSpec spec;
+      spec.app = app;
+      spec.kind = kind;
+      spec.user_seed = seed;
+      spec.device = seed % 2 == 0 ? "phone" : "tablet";
+      fleet.push_back(spec);
+    }
+  }
+  return fleet;
+}
+
+TEST_F(ServeTest, RepeatedTraceKeysAreThreadCountInvisible) {
+  // Outcomes, counters, summaries and every checkpoint file, mid-run and at
+  // drain, are byte-equal whether a wave's repeated keys are generated and
+  // copied on one lane or four.
+  struct Run {
+    std::vector<serve::SessionOutcome> outcomes;
+    serve::ServeCounters counters;
+    serve::FleetSummary summary;
+    std::map<std::string, std::string> mid_files, final_files;
+  };
+  std::vector<Run> runs;
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string dir =
+        subdir(("ab-threads-" + std::to_string(threads)).c_str());
+    serve::SessionServer server(wide_wave_config(dir), threads);
+    server.add_fleet(ab_fleet());
+    for (int i = 0; i < 9; ++i) ASSERT_TRUE(server.tick());
+    Run run;
+    run.mid_files = file_bytes(dir);
+    server.serve();
+    expect_reconciled(server);
+    run.outcomes = server.outcomes();
+    run.counters = server.counters();
+    run.summary = server.summary();
+    run.final_files = file_bytes(dir);
+    runs.push_back(std::move(run));
+  }
+  const Run& serial = runs[0];
+  const Run& pooled = runs[1];
+  EXPECT_EQ(serial.counters.sessions_completed, 12u);
+  EXPECT_GT(serial.counters.ckpt_written, 2u);
+  EXPECT_TRUE(pooled.outcomes == serial.outcomes);
+  EXPECT_TRUE(pooled.counters == serial.counters);
+  EXPECT_TRUE(pooled.summary == serial.summary);
+  EXPECT_EQ(serial.mid_files.count("server.snap"), 1u);
+  EXPECT_TRUE(pooled.mid_files == serial.mid_files);
+  EXPECT_TRUE(pooled.final_files == serial.final_files);
+}
+
+TEST_F(ServeTest, RepeatedTraceKeysResumeFromAnyKillTick) {
+  serve::SessionServer reference(wide_wave_config(subdir("ref")), 1);
+  reference.add_fleet(ab_fleet());
+  reference.serve();
+  // Kill ticks inside the first wave (before and after its first
+  // checkpoint) and inside later waves. A resume regenerates the live
+  // sessions as one wave. Past tick 24 drills have scattered the first
+  // wave's completions, so a session that was a copy at admission is
+  // generated at resume, and a copied fingerprint that disagreed with a
+  // generated one would reject the envelope.
+  for (const int kill_at : {2, 5, 9, 14, 26, 33}) {
+    const std::string dir =
+        subdir(("ab-killed-" + std::to_string(kill_at)).c_str());
+    {
+      serve::SessionServer victim(wide_wave_config(dir), 1);
+      victim.add_fleet(ab_fleet());
+      for (int i = 0; i < kill_at; ++i) ASSERT_TRUE(victim.tick());
+    }
+    serve::SessionServer resumed(wide_wave_config(dir), 4);
+    resumed.add_fleet(ab_fleet());
+    resumed.serve();
+    if (kill_at >= 5) {
+      EXPECT_TRUE(resumed.recovery().resumed) << kill_at;
+      EXPECT_FALSE(resumed.recovery().fell_back) << kill_at;
+      EXPECT_TRUE(resumed.recovery().notes.empty()) << kill_at;
+    }
+    EXPECT_TRUE(resumed.outcomes() == reference.outcomes()) << kill_at;
+    EXPECT_TRUE(resumed.counters() == reference.counters()) << kill_at;
+    EXPECT_TRUE(resumed.summary() == reference.summary()) << kill_at;
+    expect_reconciled(resumed);
+  }
+}
+
+TEST(Serve, RepeatedTraceKeysMatchStandaloneSessions) {
+  // Every session of the A/B fleet — copied or generated — must simulate
+  // exactly what a server holding that one session alone, generating its
+  // own trace, simulates. Six live slots put repeated keys in one wave.
+  serve::SessionServer fleet(wide_wave_config(), 4);
+  fleet.add_fleet(ab_fleet());
+  fleet.serve();
+  const auto& outcomes = fleet.outcomes();
+  ASSERT_EQ(outcomes.size(), 12u);
+  for (const serve::SessionOutcome& o : outcomes) {
+    ASSERT_EQ(o.state, serve::SessionState::kCompleted) << o.id;
+    serve::SessionServer alone(wide_wave_config(), 1);
+    alone.add_session(o.spec);
+    alone.serve();
+    ASSERT_EQ(alone.outcomes().size(), 1u);
+    EXPECT_TRUE(alone.outcomes()[0].result == o.result) << "session " << o.id;
+  }
+  // The kinds really do differ on the same traffic, so a copy from the
+  // wrong source could not hide behind identical results.
+  EXPECT_FALSE(outcomes[0].result == outcomes[4].result);
 }
 
 TEST(Serve, AddSessionAfterStartThrows) {

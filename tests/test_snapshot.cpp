@@ -1146,7 +1146,8 @@ TEST(SnapshotTypeCoverage, DramChannelRoundTripsMidFlight) {
     channel.submit(req);
   }
   channel.advance(1500);  // mid-flight: queues are non-empty, banks are busy
-  (void)channel.take_completions();
+  std::vector<dram::DramCompletion> a, b;
+  channel.take_completions(a);
 
   snapshot::Writer first;
   channel.save_state(first);
@@ -1163,8 +1164,8 @@ TEST(SnapshotTypeCoverage, DramChannelRoundTripsMidFlight) {
   // The restored channel must also *behave* identically, not just re-encode.
   channel.drain();
   restored.drain();
-  const auto a = channel.take_completions();
-  const auto b = restored.take_completions();
+  channel.take_completions(a);
+  restored.take_completions(b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].tag, b[i].tag);

@@ -2,6 +2,7 @@
 // the calibrated app registry.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,7 +16,7 @@ namespace planaria::trace {
 namespace {
 
 TraceRecord make_record(Address a, Cycle t, AccessType type = AccessType::kRead,
-                        DeviceId d = DeviceId::kGpu) {
+         DeviceId d = DeviceId::kGpu) {
   return TraceRecord{addr::block_align(a), t, type, d};
 }
 
@@ -47,7 +48,7 @@ TEST(TraceIo, BinaryRejectsBadMagic) {
 
 TEST(TraceIo, BinaryRejectsTruncatedPayload) {
   std::vector<TraceRecord> records = {make_record(0x1000, 1),
-                                      make_record(0x2000, 2)};
+                       make_record(0x2000, 2)};
   std::stringstream ss;
   write_binary(ss, records);
   std::string data = ss.str();
@@ -59,7 +60,7 @@ TEST(TraceIo, BinaryRejectsTruncatedPayload) {
 TEST(TraceIo, BinaryAlignsAddressesToBlocks) {
   std::stringstream ss;
   write_binary(ss, {TraceRecord{0x1234'5678, 1, AccessType::kRead,
-                                DeviceId::kCpuBig}});
+                 DeviceId::kCpuBig}});
   const auto back = read_binary(ss);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].address % kBlockBytes, 0u);
@@ -356,14 +357,125 @@ TEST(AppTrace, RejectsZeroWeights) {
   EXPECT_THROW(generate_app_trace(app, 100), std::invalid_argument);
 }
 
+// ------------------------------------------------------------- golden bytes
+//
+// The generator's output is part of every downstream digest (SimResult
+// bytes, serve fingerprints, the benchmark's recorded digests), and the RNG
+// draw order is part of that output: a "faster" generator that draws one
+// value more, fewer or in another order changes every trace. These pins
+// must never move under an optimisation; only a deliberate change to the
+// generated traffic re-records them, and says so.
+
+std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// 64-bit FNV-1a over every field of every record, then the length.
+std::uint64_t record_hash(const std::vector<TraceRecord>& records) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const TraceRecord& r : records) {
+    h = fnv1a_mix(h, r.address);
+    h = fnv1a_mix(h, r.arrival);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(r.type));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(r.device));
+  }
+  return fnv1a_mix(h, records.size());
+}
+
+std::string hex_list(const std::vector<std::uint64_t>& values) {
+  std::ostringstream os;
+  os << std::hex;
+  for (const std::uint64_t v : values) os << "0x" << v << "ull, ";
+  return os.str();
+}
+
+TEST(TraceGolden, AppTraceBytesArePinned) {
+  // {8000, 32000, 50000} records per app, apps in table order.
+  const std::vector<std::uint64_t> expected = {
+      0xF31E7C2460FAB655ull, 0xB2117F7FD4BE5863ull, 0x8B782C407E2B578Full,  // CFM
+      0x2BB4E299D33C35A0ull, 0x6B74B476A7659A94ull, 0xEAC49F19B0DD2D80ull,  // HoK
+      0xB786F4E9390BF711ull, 0xA1D61D714AC32242ull, 0x4B5426C251B16B8Dull,  // Id-V
+      0x34F239D5A9FDE269ull, 0x0E96D80DADE125E1ull, 0xEAF69C326D9EB150ull,  // QSM
+      0x0D6399FF91B674A9ull, 0xE27605B2476799D7ull, 0x3FFCFF2701D8BEFEull,  // TikT
+      0x80D20B838A74A8B1ull, 0x83EEAECB61BB6025ull, 0x5615F50D93B9196Bull,  // Fort
+      0x1312FE85E06D82EEull, 0xFA7CA6CDF93F6521ull, 0x3A899B7CD257D10Eull,  // HI3
+      0x1C0AD89908E9642Dull, 0x6CDF26890EC1F835ull, 0x87CB661D87058455ull,  // KO
+      0x9B9210276BFD17C2ull, 0xD56F7EBBF77F8222ull, 0xA1142502009CD805ull,  // NBA2
+      0x9266CECAB2C1BA96ull, 0x022C6B8A72E7EBACull, 0xF1559F06AC102488ull,  // PM
+  };
+  std::vector<std::uint64_t> actual;
+  for (const AppProfile& app : paper_apps()) {
+    for (const std::uint64_t n : {8000ull, 32000ull, 50000ull}) {
+      actual.push_back(record_hash(generate_app_trace(app, n)));
+    }
+  }
+  EXPECT_EQ(actual, expected) << "actual: " << hex_list(actual);
+}
+
+TEST(TraceGolden, RngSequencesArePinned) {
+  constexpr std::uint64_t kSeed = 0x5EED'0016ull;
+  std::vector<std::uint64_t> next, below, dbl;
+  Rng a(kSeed), b(kSeed), c(kSeed);
+  for (int i = 0; i < 16; ++i) {
+    next.push_back(a.next());
+    below.push_back(b.next_below(1000));
+    dbl.push_back(std::bit_cast<std::uint64_t>(c.next_double()));
+  }
+  EXPECT_EQ(next, (std::vector<std::uint64_t>{
+      0x102C67B0819E1F1Cull, 0xC69E416F22D712A8ull, 0xC20889924019E1A7ull,
+      0x8D5643ED90955157ull, 0x336EC585ECFF6D71ull, 0xB9E967C09EB67493ull,
+      0x86ECFA37563C89F4ull, 0xE8EAD0A638C0EF7Eull, 0x3561CBFC89117F57ull,
+      0x4F12091F2EC6D2F7ull, 0xC3E4B50D7696519Cull, 0x40F38A1A32ABADAEull,
+      0x98E27925DEAE4082ull, 0xEA59EE54BD134DFFull, 0x0349A04E6EADF4FDull,
+      0x0E40D7B93F7F23C2ull}))
+      << "actual: " << hex_list(next);
+  EXPECT_EQ(below, (std::vector<std::uint64_t>{
+      63, 775, 757, 552, 200, 726, 527, 909,
+      208, 308, 765, 253, 597, 915, 12, 55}))
+      << "actual: " << hex_list(below);
+  EXPECT_EQ(dbl, (std::vector<std::uint64_t>{
+      0x3FB02C67B0819E18ull, 0x3FE8D3C82DE45AE2ull, 0x3FE841113248033Cull,
+      0x3FE1AAC87DB212AAull, 0x3FC9B762C2F67FB4ull, 0x3FE73D2CF813D6CEull,
+      0x3FE0DD9F46EAC791ull, 0x3FED1D5A14C7181Dull, 0x3FCAB0E5FE4488BCull,
+      0x3FD3C48247CBB1B4ull, 0x3FE87C96A1AED2CAull, 0x3FD03CE2868CAAEAull,
+      0x3FE31C4F24BBD5C8ull, 0x3FED4B3DCA97A269ull, 0x3F8A4D0273756F80ull,
+      0x3FAC81AF727EFE40ull}))
+      << "actual: " << hex_list(dbl);
+}
+
+TEST(TraceGolden, ZipfSequencesArePinned) {
+  // s = 0.5 is the generator's regime (every app's zipf_s is 0.3-0.52);
+  // s = 1.0 pins the logarithmic branch.
+  constexpr std::uint64_t kSeed = 0x5EED'0016ull;
+  std::vector<std::uint64_t> half, one;
+  Rng a(kSeed), b(kSeed);
+  const ZipfSampler zipf_half(1000, 0.5), zipf_one(1000, 1.0);
+  for (int i = 0; i < 16; ++i) {
+    half.push_back(zipf_half(a));
+    one.push_back(zipf_one(b));
+  }
+  EXPECT_EQ(half, (std::vector<std::uint64_t>{
+      8, 612, 586, 320, 51, 540, 293, 832,
+      54, 109, 596, 76, 372, 842, 1, 7}))
+      << "actual: " << hex_list(half);
+  EXPECT_EQ(one, (std::vector<std::uint64_t>{
+      1, 212, 187, 45, 4, 150, 38, 536,
+      4, 8, 197, 5, 61, 557, 1, 1}))
+      << "actual: " << hex_list(one);
+}
+
 // ------------------------------------------------------------------ registry
 
 TEST(AppRegistry, HasAllTenPaperApps) {
   const auto names = app_names();
   ASSERT_EQ(names.size(), 10u);
   const std::vector<std::string> expected = {"CFM", "HoK", "Id-V", "QSM",
-                                             "TikT", "Fort", "HI3", "KO",
-                                             "NBA2", "PM"};
+                              "TikT", "Fort", "HI3", "KO",
+                              "NBA2", "PM"};
   EXPECT_EQ(names, expected);
 }
 
@@ -380,7 +492,7 @@ TEST(AppRegistry, UnknownNameThrows) {
 TEST(AppRegistry, WeightsSumToOne) {
   for (const auto& app : paper_apps()) {
     const double sum = app.weight_footprint + app.weight_neighbor +
-                       app.weight_stream + app.weight_irregular;
+        app.weight_stream + app.weight_irregular;
     EXPECT_NEAR(sum, 1.0, 1e-9) << app.name;
   }
 }

@@ -336,6 +336,27 @@ TEST(MergeSortedNegative, UnsortedInputFiresTimingContract) {
   check::reset_violations();
 }
 
+TEST(MergeSortedNegative, UnsortedRecordIsPlacedByItsClaimedArrival) {
+  // Under kRecover an out-of-order record joins the merge as its stream's
+  // head at the arrival it claims, ties going to the lower stream index.
+  const auto at = [](planaria::Cycle arrival, planaria::Address address) {
+    return TraceRecord{address, arrival, AccessType::kRead, DeviceId::kGpu};
+  };
+  std::vector<std::vector<TraceRecord>> streams = {
+      {at(0, 0x000), at(10, 0x040), at(20, 0x080), at(30, 0x0C0)},
+      {at(15, 0x100), at(5, 0x140), at(20, 0x180)}};
+
+  check::CountingScope scope;
+  check::reset_violations();
+  const auto merged = trace::merge_sorted(streams);
+  EXPECT_EQ(check::violation_count(check::Category::kTimingMonotonicity), 1u);
+  const std::vector<TraceRecord> expected = {
+      streams[0][0], streams[0][1], streams[1][0], streams[1][1],
+      streams[0][2], streams[1][2], streams[0][3]};
+  EXPECT_EQ(merged, expected);
+  check::reset_violations();
+}
+
 TEST(MergeSortedNegative, SortedInputStaysSilent) {
   std::vector<std::vector<TraceRecord>> streams(2);
   streams[0] = sample_records(4);
