@@ -57,7 +57,7 @@ double run_sweep_seconds(std::uint64_t records, std::size_t threads,
                          SweepGrid* out, double* trace_gen_s = nullptr) {
   sim::ExperimentRunner runner(sim::SimConfig{}, records, threads);
   const auto gen_start = std::chrono::steady_clock::now();
-  for (const auto& app : trace::app_names()) runner.trace_for(app);
+  for (const auto& app : trace::app_names()) runner.batch_for(app);
   if (trace_gen_s != nullptr) *trace_gen_s = seconds_since(gen_start);
   const auto start = std::chrono::steady_clock::now();
   SweepGrid grid = runner.sweep(kinds);

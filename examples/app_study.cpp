@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                 app.description.c_str());
 
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
-    const auto& trace = runner.trace_for(app_name);
+    const auto trace = trace::generate_app_trace(app, runner.records());
 
     // --- Observation 1: footprint stability (Fig. 3/4 methodology) ---
     const auto overlap = analysis::overlap_rate(trace);

@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "sim/experiment.hpp"
+#include "trace/generator.hpp"
 
 namespace {
 
@@ -50,7 +51,8 @@ int main() {
       const auto burst = sim::Simulator::run(
           runner.config(),
           [](int) { return std::make_unique<PageBurstPrefetcher>(); },
-          "page-burst", runner.trace_for(app));
+          "page-burst",
+          trace::generate_app_trace(trace::app_by_name(app), runner.records()));
       const auto planaria = runner.run(app, sim::PrefetcherKind::kPlanaria);
 
       for (const auto* r : {&none, &burst, &planaria}) {

@@ -11,6 +11,7 @@
 
 #include "core/planaria.hpp"
 #include "sim/experiment.hpp"
+#include "trace/generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace planaria;
@@ -24,7 +25,8 @@ int main(int argc, char** argv) {
     const auto kind = sim::prefetcher_kind_from_name(kind_name);
 
     // Re-run manually so we can inspect the live prefetcher objects.
-    const auto& trace = runner.trace_for(app);
+    const auto trace =
+        trace::generate_app_trace(trace::app_by_name(app), runner.records());
     auto factory = sim::make_prefetcher_factory(kind, runner.planaria_config(),
                                                 runner.bop_config(),
                                                 runner.spp_config());

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/parse.hpp"
+
 namespace planaria::common {
 
 ThreadPool::ThreadPool(std::size_t threads) : threads_(threads) {
@@ -96,9 +98,8 @@ void ThreadPool::parallel_for(std::size_t n,
 std::size_t ThreadPool::threads_from_env(std::size_t fallback) {
   const char* env = std::getenv("PLANARIA_THREADS");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0 || v > kMaxThreads) {
+  std::uint64_t v = 0;
+  if (!parse_u64(env, v) || v == 0 || v > kMaxThreads) {
     throw std::invalid_argument(
         "PLANARIA_THREADS must be a positive integer <= 4096");
   }

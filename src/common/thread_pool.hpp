@@ -1,18 +1,15 @@
 // Fixed-size thread pool shared by the sweep engine and the channel-sharded
 // simulator.
 //
-// Two usage shapes:
-//   * submit(fn)          — fire-and-collect a single task via std::future.
-//   * parallel_for(n, fn) — run fn(0..n-1) across the pool. The CALLING
-//     thread participates in the batch: it claims indices from the same
-//     atomic cursor as the workers, so a nested parallel_for issued from
-//     inside a pool task can never deadlock — the caller drains its own
-//     batch even when every worker is busy with outer-level tasks. Helper
-//     jobs that reach the queue after the batch is fully claimed simply
-//     return.
+// parallel_for(n, fn) runs fn(0..n-1) across the pool. The CALLING thread
+// participates in the batch: it claims indices from the same atomic cursor as
+// the workers, so a nested parallel_for issued from inside a pool task can
+// never deadlock — the caller drains its own batch even when every worker is
+// busy with outer-level tasks. Helper jobs that reach the queue after the
+// batch is fully claimed simply return.
 //
-// Thread count comes from PLANARIA_THREADS (see threads_from_env, validated
-// in the same style as PLANARIA_RECORDS in sim/experiment.cpp); a pool of
+// Thread count comes from PLANARIA_THREADS (see threads_from_env, parsed by
+// common::parse_u64 like PLANARIA_RECORDS in sim/experiment.cpp); a pool of
 // size 1 degenerates to inline execution with no worker handoff.
 #pragma once
 
@@ -20,12 +17,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace planaria::common {
@@ -42,16 +38,6 @@ class ThreadPool {
 
   /// Configured parallelism (worker threads + the participating caller).
   std::size_t size() const { return threads_; }
-
-  /// Queues one task; the future reports its result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> out = task->get_future();
-    enqueue([task] { (*task)(); });
-    return out;
-  }
 
   /// Runs body(0..n-1) with the caller participating; blocks until every
   /// index has finished. The first exception thrown by any index is

@@ -146,9 +146,8 @@ void SessionServer::materialize(Session& s) const {
 
 void SessionServer::build_sim(Session& s) const {
   sim::SimConfig cfg = config_.sim;
-  if (config_.per_session_fault_streams && cfg.fault.any_enabled()) {
-    cfg.fault = cfg.fault.for_session(s.id);
-  }
+  // Each tenant draws a disjoint in-simulator fault sequence from one plan.
+  if (cfg.fault.any_enabled()) cfg.fault = cfg.fault.for_session(s.id);
   s.sim = std::make_unique<sim::Simulator>(
       cfg, sim::make_prefetcher_factory(s.spec.kind),
       sim::prefetcher_kind_name(s.spec.kind));
@@ -466,7 +465,6 @@ std::uint64_t SessionServer::fleet_fingerprint() const {
   w.u64(config_.backoff_cap_ticks);
   w.f64(config_.session_fault_rate);
   w.u64(config_.drill_seed);
-  w.b(config_.per_session_fault_streams);
   w.u64(config_.sim.fault.seed);
   for (double r : config_.sim.fault.rate) w.f64(r);
   w.u64(sessions_.size());

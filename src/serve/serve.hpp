@@ -92,9 +92,6 @@ struct ServeConfig {
   /// a per-session stream — "tenant submitted a malformed batch"). 0 = off.
   double session_fault_rate = 0.0;
   std::uint64_t drill_seed = 0xD811;  ///< seed for the drill fault streams
-  /// Derive each session's SimConfig fault plan via FaultPlan::for_session
-  /// so tenants draw disjoint in-simulator fault sequences from one plan.
-  bool per_session_fault_streams = true;
   std::string checkpoint_dir;             ///< empty = no crash safety
   std::uint64_t checkpoint_every_ticks = 0;  ///< envelope cadence; 0 = off
   bool checkpointing() const {

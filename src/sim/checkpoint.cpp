@@ -1,13 +1,13 @@
 #include "sim/checkpoint.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/parse.hpp"
 #include "io/vfs.hpp"
 
 namespace planaria::sim {
@@ -18,16 +18,11 @@ CheckpointConfig CheckpointConfig::from_env() {
       dir != nullptr && *dir != '\0') {
     ckpt.dir = dir;
   }
-  // strtoull accepts a sign and wraps "-5" to 2^64-5, which would *enable*
-  // checkpointing: only a plain decimal starting with a digit is an interval.
+  // A malformed interval ("-5" would wrap to 2^64-5 and *enable*
+  // checkpointing) leaves checkpointing off.
   if (const char* every = std::getenv("PLANARIA_CHECKPOINT_EVERY");
-      every != nullptr &&
-      std::isdigit(static_cast<unsigned char>(*every)) != 0) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(every, &end, 10);
-    if (*end == '\0') {
-      ckpt.every = static_cast<std::uint64_t>(v);
-    }
+      every != nullptr) {
+    common::parse_u64(every, ckpt.every);
   }
   return ckpt;
 }

@@ -1,7 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/parse.hpp"
 #include "trace/generator.hpp"
 
 namespace planaria::sim {
@@ -16,14 +15,11 @@ namespace planaria::sim {
 std::uint64_t records_from_env(std::uint64_t fallback) {
   const char* env = std::getenv("PLANARIA_RECORDS");
   if (env == nullptr || *env == '\0') return fallback;
-  // strtoull accepts a sign and wraps "-1" to 2^64-1: demand a leading digit.
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(*env)) == 0 || *end != '\0' ||
-      v == 0) {
+  std::uint64_t v = 0;
+  if (!common::parse_u64(env, v) || v == 0) {
     throw std::invalid_argument("PLANARIA_RECORDS must be a positive integer");
   }
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 ExperimentRunner::ExperimentRunner(SimConfig config, std::uint64_t records,
@@ -46,17 +42,10 @@ ExperimentRunner::TraceEntry& ExperimentRunner::entry_for(
     entry = &traces_[app];
   }
   std::call_once(entry->once, [&] {
-    entry->records = trace::generate_app_trace(trace::app_by_name(app), records_);
-    // Build the columnar mirror inside the same once: every later reader
-    // (vector or batch) sees both forms complete.
-    entry->batch = trace::TraceBatch(entry->records);
+    entry->batch = trace::TraceBatch(
+        trace::generate_app_trace(trace::app_by_name(app), records_));
   });
   return *entry;
-}
-
-const std::vector<trace::TraceRecord>& ExperimentRunner::trace_for(
-    const std::string& app) {
-  return entry_for(app).records;
 }
 
 const trace::TraceBatch& ExperimentRunner::batch_for(const std::string& app) {
@@ -134,8 +123,7 @@ SimResult ExperimentRunner::run(const std::string& app, PrefetcherKind kind) {
 }
 
 std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
-    const std::vector<PrefetcherKind>& kinds, bool verbose,
-    std::vector<FailureReport>* failures) {
+    const std::vector<PrefetcherKind>& kinds, bool verbose) {
   const auto apps = trace::app_names();
 
   // Factories depend only on (kind, configs): build each once per sweep
@@ -151,17 +139,15 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
   // a single generating thread.
   if (pool_) {
     pool_->parallel_for(apps.size(),
-                        [&](std::size_t i) { trace_for(apps[i]); });
+                        [&](std::size_t i) { entry_for(apps[i]); });
   }
 
   // Flatten the grid so the pool can claim cells; results land in a
   // preallocated slot per cell, which keeps the output independent of
-  // completion order. Failure slots are likewise per-cell (unique_ptr, one
-  // writer each — never a shared vector push from pooled tasks) and compacted
-  // in cell order after the join, so the report is deterministic too.
+  // completion order. A throwing cell propagates (see sweep() in the header
+  // for recovery by rerun).
   std::vector<SimResult> results(apps.size() * kinds.size());
-  std::vector<std::unique_ptr<FailureReport>> failed(results.size());
-  const auto attempt_one = [&](std::size_t i) {
+  const auto run_one = [&](std::size_t i) {
     const std::string& app = apps[i / kinds.size()];
     const std::size_t k = i % kinds.size();
     const char* kind_name = prefetcher_kind_name(kinds[k]);
@@ -182,107 +168,10 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
     results[i] = run_cell(app, kinds[k], factories[k]);
     if (!checkpoint_dir_.empty()) store_cell(app, kind_name, results[i]);
   };
-  if (failures == nullptr) {
-    // Fast path: the first cell exception propagates exactly as before.
-    if (pool_) {
-      pool_->parallel_for(results.size(), attempt_one);
-    } else {
-      for (std::size_t i = 0; i < results.size(); ++i) attempt_one(i);
-    }
+  if (pool_) {
+    pool_->parallel_for(results.size(), run_one);
   } else {
-    // Isolated mode: each failing cell is retried under deterministic seeded
-    // exponential backoff. "Time" here is a scheduler round counter — the
-    // batch sweep's sim-tick analog (the determinism lint bans wall clocks) —
-    // and a cell that fails on attempt a is parked for
-    // min(kBase << (a-1), kCap) rounds plus a seeded jitter draw, so
-    // correlated transients (e.g. memory pressure across pooled cells) are
-    // not retried in lockstep. The schedule is a pure function of
-    // (cell index, attempt): identical at every thread count and on every
-    // rerun. A cell that exhausts kMaxAttempts keeps its slot
-    // default-constructed and files one FailureReport (cell order), with its
-    // backoff history recorded; every other cell still lands.
-    constexpr int kMaxAttempts = 3;
-    constexpr std::uint64_t kBackoffBaseRounds = 2;
-    constexpr std::uint64_t kBackoffCapRounds = 16;
-    constexpr std::uint64_t kBackoffJitterSeed = 0xB0FF'5EEDull;
-    std::vector<std::uint8_t> failed_now(results.size(), 0);
-    std::vector<std::string> errors(results.size());
-    const auto run_isolated = [&](std::size_t i) {
-      try {
-        attempt_one(i);
-        failed_now[i] = 0;
-      } catch (const std::exception& e) {
-        failed_now[i] = 1;
-        errors[i] = e.what();
-      }
-    };
-    const auto backoff_delay = [&](std::size_t i, int attempt) {
-      std::uint64_t shift = static_cast<std::uint64_t>(attempt) - 1;
-      if (shift > 62) shift = 62;
-      std::uint64_t delay = kBackoffBaseRounds << shift;
-      if (delay > kBackoffCapRounds) delay = kBackoffCapRounds;
-      Rng jitter(kBackoffJitterSeed ^ (i * 0x9E3779B97F4A7C15ull) ^
-                 static_cast<std::uint64_t>(attempt));
-      return delay + jitter.next_below(kBackoffBaseRounds + 1);
-    };
-    if (pool_) {
-      pool_->parallel_for(results.size(), run_isolated);
-    } else {
-      for (std::size_t i = 0; i < results.size(); ++i) run_isolated(i);
-    }
-    std::vector<int> attempts(results.size(), 1);
-    std::vector<std::uint64_t> eligible(results.size(), 0);
-    std::vector<std::uint64_t> waited(results.size(), 0);
-    std::vector<std::size_t> pending;
-    std::uint64_t round = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (failed_now[i] == 0) continue;
-      const std::uint64_t delay = backoff_delay(i, attempts[i]);
-      eligible[i] = round + delay;
-      waited[i] += delay;
-      pending.push_back(i);
-    }
-    std::vector<std::size_t> runnable;
-    while (!pending.empty()) {
-      // Advance straight to the earliest eligible round: idle rounds carry
-      // no work, but the skipped wait stays charged to each cell.
-      round = eligible[pending.front()];
-      for (const std::size_t i : pending) round = std::min(round, eligible[i]);
-      runnable.clear();
-      for (const std::size_t i : pending) {
-        if (eligible[i] <= round) runnable.push_back(i);
-      }
-      if (pool_) {
-        pool_->parallel_for(runnable.size(),
-                            [&](std::size_t j) { run_isolated(runnable[j]); });
-      } else {
-        for (const std::size_t i : runnable) run_isolated(i);
-      }
-      std::vector<std::size_t> still_pending;
-      for (const std::size_t i : pending) {
-        if (eligible[i] > round) {
-          still_pending.push_back(i);
-          continue;
-        }
-        if (failed_now[i] == 0) continue;
-        ++attempts[i];
-        if (attempts[i] >= kMaxAttempts) {
-          failed[i] = std::make_unique<FailureReport>(FailureReport{
-              apps[i / kinds.size()],
-              prefetcher_kind_name(kinds[i % kinds.size()]), attempts[i],
-              attempts[i] - 1, waited[i], errors[i]});
-          continue;
-        }
-        const std::uint64_t delay = backoff_delay(i, attempts[i]);
-        eligible[i] = round + delay;
-        waited[i] += delay;
-        still_pending.push_back(i);
-      }
-      pending = std::move(still_pending);
-    }
-    for (auto& f : failed) {
-      if (f != nullptr) failures->push_back(std::move(*f));
-    }
+    for (std::size_t i = 0; i < results.size(); ++i) run_one(i);
   }
 
   std::map<std::string, std::map<std::string, SimResult>> out;

@@ -32,21 +32,6 @@ namespace planaria::sim {
 /// Reads PLANARIA_RECORDS (decimal, e.g. "2000000") or returns `fallback`.
 std::uint64_t records_from_env(std::uint64_t fallback);
 
-/// One sweep cell that failed after its bounded retry. The sweep result map
-/// still contains the cell's key with a default-constructed SimResult, so
-/// figure printers keep their shape; consumers that care check the report.
-struct FailureReport {
-  std::string app;
-  std::string kind;
-  int attempts = 0;   ///< how many times the cell was tried (1 + retries)
-  int backoffs = 0;   ///< retries that were scheduled (attempts - 1)
-  /// Total scheduler rounds the cell spent parked between attempts —
-  /// deterministic sim-tick delays (seeded exponential backoff with jitter),
-  /// never wall clock.
-  std::uint64_t backoff_rounds = 0;
-  std::string what;   ///< message of the last attempt's exception
-};
-
 // lint: suppress(snapshot-missing) sweep progress persists per-cell as .result files, not via the codec
 class ExperimentRunner {
  public:
@@ -55,15 +40,10 @@ class ExperimentRunner {
       std::uint64_t records = records_from_env(400000),
       std::size_t threads = common::ThreadPool::threads_from_env(1));
 
-  /// Generated (and cached) bus trace for one paper app. Thread-safe:
-  /// concurrent sweep cells block on one std::call_once generation instead of
-  /// racing to generate their own copies.
-  const std::vector<trace::TraceRecord>& trace_for(const std::string& app);
-
-  /// Columnar (SoA) view of the same cached trace, built once per app
-  /// alongside the record vector. Cells consume this form: the simulator's
-  /// admission loop then streams three flat columns instead of striding
-  /// through 24-byte structs.
+  /// Generated (and cached) bus trace for one paper app, in the columnar
+  /// (SoA) form every cell consumes. Thread-safe: concurrent sweep cells block
+  /// on one std::call_once generation instead of racing to generate their own
+  /// copies.
   const trace::TraceBatch& batch_for(const std::string& app);
 
   /// One cell of the grid (channel-sharded across the pool when one exists).
@@ -73,16 +53,13 @@ class ExperimentRunner {
   /// thread pool when `threads > 1`. Results keyed [app][kind-name] and
   /// bit-identical to the serial sweep at any thread count.
   ///
-  /// Failure isolation is opt-in: with `failures` null (the default), the
-  /// first cell exception propagates exactly as before. With a sink supplied,
-  /// each cell runs isolated — a throwing cell gets one bounded retry, and if
-  /// that also throws, the cell's slot stays default-constructed and one
-  /// FailureReport is appended (deterministic cell order) while every other
-  /// cell runs to completion. A 44-cell overnight sweep no longer forfeits 43
-  /// results to one poisoned cell.
+  /// A throwing cell propagates out of sweep(). Recovery is by rerun: with a
+  /// checkpoint dir set, every cell that completed has stored its result (on
+  /// the pool, every cell but the failing ones runs before the rethrow;
+  /// serially, the cells before it), and rerunning the same sweep reloads
+  /// those verbatim and runs only the rest.
   std::map<std::string, std::map<std::string, SimResult>> sweep(
-      const std::vector<PrefetcherKind>& kinds, bool verbose = false,
-      std::vector<FailureReport>* failures = nullptr);
+      const std::vector<PrefetcherKind>& kinds, bool verbose = false);
 
   const SimConfig& config() const { return config_; }
   std::uint64_t records() const { return records_; }
@@ -112,8 +89,7 @@ class ExperimentRunner {
   /// node (and its once_flag) stays put while cells share it.
   struct TraceEntry {
     std::once_flag once;
-    std::vector<trace::TraceRecord> records;
-    trace::TraceBatch batch;  ///< SoA mirror of `records`, built in the once
+    trace::TraceBatch batch;
   };
 
   TraceEntry& entry_for(const std::string& app);

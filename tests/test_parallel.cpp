@@ -45,18 +45,6 @@ TEST(ThreadPool, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool pool(0), std::invalid_argument);
 }
 
-TEST(ThreadPool, SubmitReturnsResultThroughFuture) {
-  ThreadPool pool(3);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
@@ -135,7 +123,10 @@ TEST_F(ThreadsEnvTest, ParsesValidCounts) {
 }
 
 TEST_F(ThreadsEnvTest, RejectsMalformedValues) {
-  for (const char* bad : {"0", "abc", "12x", "4.5", "-4", "999999999"}) {
+  // "+4" and " 4" are strtoull-accepted spellings; the long negative wraps
+  // modulo 2^64 to exactly 4 under strtoull.
+  for (const char* bad : {"0", "abc", "12x", "4.5", "-4", "999999999", "+4",
+                          " 4", "-18446744073709551612"}) {
     setenv("PLANARIA_THREADS", bad, 1);
     EXPECT_THROW(ThreadPool::threads_from_env(1), std::invalid_argument)
         << "accepted PLANARIA_THREADS=" << bad;
@@ -248,13 +239,13 @@ TEST(ParallelSweep, MatchesSerialSweepBitForBit) {
 }
 
 TEST(ParallelSweep, SharedTraceCacheGeneratesOncePerApp) {
-  // trace_for from many threads must hand back the same generated trace
+  // batch_for from many threads must hand back the same generated trace
   // object (one call_once generation per app, no racing copies).
   sim::ExperimentRunner runner(sim::SimConfig{}, 5000, 4);
   const std::string app = trace::app_names().front();
-  std::vector<const std::vector<trace::TraceRecord>*> seen(16, nullptr);
+  std::vector<const trace::TraceBatch*> seen(16, nullptr);
   runner.pool()->parallel_for(seen.size(), [&](std::size_t i) {
-    seen[i] = &runner.trace_for(app);
+    seen[i] = &runner.batch_for(app);
   });
   for (const auto* p : seen) EXPECT_EQ(p, seen.front());
   EXPECT_EQ(seen.front()->size(), 5000u);

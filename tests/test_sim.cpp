@@ -208,8 +208,8 @@ TEST(Experiment, KindNamesRoundTrip) {
 
 TEST(Experiment, TraceCacheReturnsSameObject) {
   ExperimentRunner runner(small_config(), 5000);
-  const auto* first = &runner.trace_for("HoK");
-  const auto* second = &runner.trace_for("HoK");
+  const auto* first = &runner.batch_for("HoK");
+  const auto* second = &runner.batch_for("HoK");
   EXPECT_EQ(first, second);
   EXPECT_EQ(first->size(), 5000u);
 }
@@ -245,9 +245,13 @@ TEST(Experiment, RecordsFromEnvParses) {
   EXPECT_EQ(records_from_env(123), 4567u);
   setenv("PLANARIA_RECORDS", "bogus", 1);
   EXPECT_THROW(records_from_env(123), std::invalid_argument);
-  // strtoull would wrap "-1" to 2^64-1 records; a sign is rejected.
-  setenv("PLANARIA_RECORDS", "-1", 1);
-  EXPECT_THROW(records_from_env(123), std::invalid_argument);
+  // strtoull would wrap "-1" to 2^64-1 records and saturate 2^64 to
+  // 2^64-1; a sign and an out-of-range count are rejected.
+  for (const char* bad : {"-1", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    setenv("PLANARIA_RECORDS", bad, 1);
+    EXPECT_THROW(records_from_env(123), std::invalid_argument);
+  }
   unsetenv("PLANARIA_RECORDS");
 }
 
@@ -258,9 +262,10 @@ TEST(Checkpoint, FromEnvAcceptsOnlyPlainDecimalIntervals) {
   EXPECT_EQ(ckpt.dir, "ckpt-from-env");
   EXPECT_EQ(ckpt.every, 2500u);
   EXPECT_TRUE(ckpt.enabled());
-  // strtoull alone would wrap "-5" to 2^64-5 and *enable* checkpointing;
-  // "12x" carries trailing junk. Both leave checkpointing disabled.
-  for (const char* bad : {"-5", "12x"}) {
+  // strtoull alone would wrap "-5" to 2^64-5 and *enable* checkpointing,
+  // and saturate 2^64 to 2^64-1; "12x" carries trailing junk. All leave
+  // checkpointing disabled.
+  for (const char* bad : {"-5", "12x", "18446744073709551616"}) {
     SCOPED_TRACE(bad);
     setenv("PLANARIA_CHECKPOINT_EVERY", bad, 1);
     ckpt = CheckpointConfig::from_env();

@@ -859,51 +859,59 @@ TEST_F(SnapshotFileTest, SweepCellsResumeFromPersistedResults) {
   EXPECT_TRUE(a.begin()->second.at("none") == c.at(a.begin()->first).at("none"));
 }
 
-TEST_F(SnapshotFileTest, PoisonedSweepCellBacksOffThenReportsOthersLand) {
-  // Poison exactly one cell's persistence: a directory squatting on the
-  // store path's .tmp name makes every store_cell attempt for that cell
-  // throw, while all other cells run and persist normally.
-  const std::string app = trace::app_names().front();
-  fs::create_directories(dir_ / ("cell_" + app + "_none.result.tmp"));
+class PoisonedSweepTest : public SnapshotFileTest,
+                          public ::testing::WithParamInterface<std::size_t> {};
 
-  sim::ExperimentRunner runner(sim::SimConfig{}, 4000, 1);
-  runner.set_checkpoint_dir(dir_.string());
+TEST_P(PoisonedSweepTest, ThrowsThenRerunRunsOnlyTheMissingCell) {
+  // Poison the grid's last cell: a directory squatting on its store path's
+  // .tmp name makes store_cell throw. Being last, it fails after the serial
+  // loop has stored every other cell; the pool finishes them all anyway.
   const std::vector<sim::PrefetcherKind> kinds = {sim::PrefetcherKind::kNone,
                                                   sim::PrefetcherKind::kBop};
-  std::vector<sim::FailureReport> failures;
-  const auto grid = runner.sweep(kinds, false, &failures);
+  const std::string poisoned = "cell_" + trace::app_names().back() + "_bop.result";
+  const fs::path squatter = dir_ / (poisoned + ".tmp");
+  fs::create_directories(squatter);
 
-  // The grid keeps its full shape and every healthy cell has a real result.
-  EXPECT_EQ(grid.size(), trace::app_names().size());
-  for (const auto& [grid_app, per_kind] : grid) {
-    EXPECT_EQ(per_kind.size(), kinds.size()) << grid_app;
-    EXPECT_GT(per_kind.at("bop").demand_reads, 0u) << grid_app;
+  sim::ExperimentRunner runner(sim::SimConfig{}, 4000, GetParam());
+  runner.set_checkpoint_dir(dir_.string());
+  try {
+    runner.sweep(kinds);
+    FAIL() << "a sweep with a poisoned cell must throw";
+  } catch (const std::exception& e) {
+    // The message names the failing VFS op.
+    EXPECT_NE(std::string(e.what()).find("io: create"), std::string::npos)
+        << e.what();
   }
 
-  // Exactly one report, carrying the bounded-retry and backoff history:
-  // 3 attempts = 2 scheduled backoffs, each of at least the base delay.
-  ASSERT_EQ(failures.size(), 1u);
-  const sim::FailureReport& report = failures.front();
-  EXPECT_EQ(report.app, app);
-  EXPECT_EQ(report.kind, "none");
-  EXPECT_EQ(report.attempts, 3);
-  EXPECT_EQ(report.backoffs, 2);
-  EXPECT_GE(report.backoff_rounds, 2u * 2u);  // two waits of >= base rounds
-  // The report names the failing VFS op (the squatting directory makes the
-  // durable-write `.tmp` creation fail).
-  EXPECT_NE(report.what.find("io: create"), std::string::npos);
+  // Every other cell left its result behind.
+  std::size_t cell_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    cell_files += entry.path().extension() == ".result" ? 1 : 0;
+  }
+  EXPECT_EQ(cell_files, trace::app_names().size() * kinds.size() - 1);
+  EXPECT_FALSE(fs::exists(dir_ / poisoned));
 
-  // The backoff schedule is a pure function of (cell, attempt): a rerun of
-  // the same poisoned sweep files a byte-identical report.
-  sim::ExperimentRunner again(sim::SimConfig{}, 4000, 1);
-  again.set_checkpoint_dir(dir_.string());
-  std::vector<sim::FailureReport> failures2;
-  again.sweep(kinds, false, &failures2);
-  ASSERT_EQ(failures2.size(), 1u);
-  EXPECT_EQ(failures2.front().attempts, report.attempts);
-  EXPECT_EQ(failures2.front().backoffs, report.backoffs);
-  EXPECT_EQ(failures2.front().backoff_rounds, report.backoff_rounds);
+  // Once the squatter is gone, a rerun reloads the stored cells and runs the
+  // missing one: the grid equals a sweep that never checkpointed.
+  fs::remove_all(squatter);
+  sim::ExperimentRunner rerun(sim::SimConfig{}, 4000, GetParam());
+  rerun.set_checkpoint_dir(dir_.string());
+  const auto recovered = rerun.sweep(kinds);
+  sim::ExperimentRunner clean_runner(sim::SimConfig{}, 4000, GetParam());
+  clean_runner.set_checkpoint_dir("");
+  const auto clean = clean_runner.sweep(kinds);
+  ASSERT_EQ(recovered.size(), clean.size());
+  for (const auto& [app, per_kind] : clean) {
+    ASSERT_EQ(recovered.at(app).size(), per_kind.size()) << app;
+    for (const auto& [kind_name, result] : per_kind) {
+      EXPECT_TRUE(result == recovered.at(app).at(kind_name))
+          << app << "/" << kind_name;
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, PoisonedSweepTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}));
 
 // ---------------------------------------------------------------------------
 // Golden snapshot: format stability across commits.

@@ -58,8 +58,6 @@
 // Exit codes: 0 = clean, 1 = an audit check failed or an argument was
 // malformed, 2 = self-test failed.
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -72,6 +70,7 @@
 #endif
 
 #include "check/contract.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "lint/lint.hpp"
 #include "common/thread_pool.hpp"
@@ -1181,19 +1180,6 @@ void lint_audit() {
   }
 }
 
-/// Parses a decimal u64 flag value. strtoull accepts a sign and wraps "-1"
-/// to 2^64-1, and stops silently at the first non-digit, so the token must
-/// start with a digit and be consumed whole.
-bool parse_u64(const char* text, std::uint64_t& out) {
-  if (std::isdigit(static_cast<unsigned char>(*text)) == 0) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: planaria-audit [--records N] [--seed S] "
@@ -1215,7 +1201,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const bool has_value = i + 1 < argc;
     if (std::strcmp(argv[i], "--records") == 0 && has_value) {
-      if (!parse_u64(argv[++i], records) || records == 0) {
+      if (!planaria::common::parse_u64(argv[++i], records) || records == 0) {
         std::fprintf(stderr,
                      "planaria-audit: --records must be a positive integer, "
                      "got '%s'\n",
@@ -1223,7 +1209,7 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
-      if (!parse_u64(argv[++i], seed)) {
+      if (!planaria::common::parse_u64(argv[++i], seed)) {
         std::fprintf(stderr,
                      "planaria-audit: --seed must be a non-negative integer, "
                      "got '%s'\n",
