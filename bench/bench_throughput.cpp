@@ -31,10 +31,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "bench_util.hpp"
+#include "common/parse.hpp"
 #include "common/thread_pool.hpp"
 #include "io/vfs.hpp"
 
@@ -74,7 +76,9 @@ bool bit_identical(const sim::SimResult& a, const sim::SimResult& b) {
 
 /// Thread counts to sweep: PLANARIA_BENCH_THREADS (comma separated) if set,
 /// else {1, 2, 4, hardware_concurrency when > 4}. A serial run is always
-/// included — every other row is reported relative to it.
+/// included — every other row is reported relative to it. Throws
+/// std::invalid_argument on an empty, malformed or zero token, or one above
+/// ThreadPool::kMaxThreads, so no pool is ever sized from a bad value.
 std::vector<std::size_t> thread_counts_from_env() {
   std::vector<std::size_t> counts;
   if (const char* env = std::getenv("PLANARIA_BENCH_THREADS");
@@ -85,8 +89,15 @@ std::vector<std::size_t> thread_counts_from_env() {
       const std::size_t comma = spec.find(',', pos);
       const std::string tok =
           spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v > 0) counts.push_back(static_cast<std::size_t>(v));
+      std::uint64_t v = 0;
+      if (!common::parse_u64(tok.c_str(), v) || v == 0 ||
+          v > common::ThreadPool::kMaxThreads) {
+        throw std::invalid_argument(
+            "PLANARIA_BENCH_THREADS must be comma-separated positive integers "
+            "<= " + std::to_string(common::ThreadPool::kMaxThreads) +
+            ", got '" + tok + "'");
+      }
+      counts.push_back(static_cast<std::size_t>(v));
       if (comma == std::string::npos) break;
       pos = comma + 1;
     }
@@ -139,12 +150,18 @@ int main() {
       "Sweep throughput: serial vs thread-pooled (records/sec)",
       "engine benchmark — no paper figure; tracks PR-over-PR perf");
 
-  const std::uint64_t records = sim::records_from_env(100000);
+  std::uint64_t records = 0;
+  std::vector<std::size_t> thread_counts;
+  try {
+    records = sim::records_from_env(100000);
+    thread_counts = thread_counts_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   const auto& kinds = sim::all_prefetcher_kinds();
   const std::uint64_t grid_records =
       records * trace::app_names().size() * kinds.size();
-
-  const std::vector<std::size_t> thread_counts = thread_counts_from_env();
   const std::size_t max_threads =
       *std::max_element(thread_counts.begin(), thread_counts.end());
 

@@ -5,7 +5,6 @@
 // default HoK tells the self-learning one.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/analysis.hpp"
@@ -15,11 +14,10 @@
 int main(int argc, char** argv) {
   using namespace planaria;
   const std::string app_name = argc > 1 ? argv[1] : "HoK";
-  const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-               : sim::records_from_env(400000);
 
   try {
+    const std::uint64_t records = argc > 2 ? sim::records_from_arg(argv[2])
+                                           : sim::records_from_env(400000);
     const auto& app = trace::app_by_name(app_name);
     std::printf("=== %s — %s ===\n\n", app.name.c_str(),
                 app.description.c_str());

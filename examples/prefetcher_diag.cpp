@@ -6,7 +6,6 @@
 // accuracy/coverage/pollution, and DRAM-side traffic — the numbers behind the
 // headline figures, useful when calibrating workloads or tuning table sizes.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/planaria.hpp"
@@ -16,11 +15,11 @@
 int main(int argc, char** argv) {
   using namespace planaria;
   const std::string app = argc > 1 ? argv[1] : "HoK";
-  const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 300000;
   const std::string kind_name = argc > 3 ? argv[3] : "planaria";
 
   try {
+    const std::uint64_t records =
+        argc > 2 ? sim::records_from_arg(argv[2]) : 300000;
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
     const auto kind = sim::prefetcher_kind_from_name(kind_name);
 

@@ -5,7 +5,6 @@
 //
 // app defaults to "HoK" (Honor of Kings), records to 300000.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sim/experiment.hpp"
@@ -13,10 +12,10 @@
 int main(int argc, char** argv) {
   using namespace planaria;
   const std::string app = argc > 1 ? argv[1] : "HoK";
-  const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 300000;
 
   try {
+    const std::uint64_t records =
+        argc > 2 ? sim::records_from_arg(argv[2]) : 300000;
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
     std::printf("app=%s records=%llu\n\n", app.c_str(),
                 static_cast<unsigned long long>(records));

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "analysis/analysis.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
@@ -61,7 +62,7 @@ int cmd_gen(int argc, char** argv) {
     return 2;
   }
   const auto& app = trace::app_by_name(argv[2]);
-  const auto records = std::strtoull(argv[3], nullptr, 10);
+  const std::uint64_t records = sim::records_from_arg(argv[3]);
   const auto trace = trace::generate_app_trace(app, records);
   store(argv[4], trace);
   std::printf("wrote %zu records (%s) to %s\n", trace.size(),

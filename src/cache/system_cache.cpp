@@ -123,8 +123,9 @@ AccessResult SystemCache::fill(std::uint64_t block, FillSource source) {
   if (is_prefetch) ++stats_.prefetch_fills;
 
   const std::uint32_t set = set_of(block);
-  Line* base = &lines_[static_cast<std::size_t>(set) *
-                       static_cast<std::size_t>(config_.ways)];
+  const std::size_t base_slot = static_cast<std::size_t>(set) *
+                                static_cast<std::size_t>(config_.ways);
+  const Line* base = &lines_[base_slot];
   int way = -1;
   if (set_valid_[set] < static_cast<std::uint16_t>(config_.ways)) {
     for (int w = 0; w < config_.ways; ++w) {
@@ -141,31 +142,33 @@ AccessResult SystemCache::fill(std::uint64_t block, FillSource source) {
     // stay inside the set it was asked about.
     PLANARIA_ENSURE_MSG(kTableOccupancy, way >= 0 && way < config_.ways,
                         "replacement policy returned an out-of-set victim");
-    Line& victim = base[way];
+    const Line& victim = base[way];
+    const std::uint64_t victim_block =
+        tags_[base_slot + static_cast<std::size_t>(way)];
     if (victim.prefetched) ++stats_.prefetch_unused_evictions;
     if (victim.dirty) {
       ++stats_.dirty_writebacks;
       result.has_writeback = true;
-      result.writeback_block = victim.block;
+      result.writeback_block = victim_block;
     }
     // A useful (demand) line displaced by a speculative fill may come back as
     // a pollution miss; remember it so we can attribute that miss.
     if (is_prefetch && !victim.prefetched) {
-      track_pollution_eviction(victim.block);
+      track_pollution_eviction(victim_block);
     }
   }
-  Line& line = base[way];
-  line.block = block;
+  const std::size_t slot = base_slot + static_cast<std::size_t>(way);
+  Line& line = lines_[slot];
   line.valid = true;
   line.dirty = false;
   line.prefetched = is_prefetch;
   line.source = source;
-  tags_[static_cast<std::size_t>(&line - lines_.data())] = block;
+  tags_[slot] = block;
   policy_on_fill(set, way, is_prefetch);
-  // O(1) form of the residency postcondition: `line` is the slot whose tag
+  // O(1) form of the residency postcondition: `slot` is the one whose tag
   // was just rewritten, so checking it directly proves contains(block)
   // without re-running the set scan.
-  PLANARIA_ENSURE_MSG(kTableOccupancy, line.valid && line.block == block,
+  PLANARIA_ENSURE_MSG(kTableOccupancy, line.valid && tags_[slot] == block,
                       "filled block must be resident on return");
   return result;
 }
@@ -211,7 +214,7 @@ void SystemCache::save_state(snapshot::Writer& w) const {
     const Line& line = lines_[i];
     if (!line.valid) continue;
     w.u64(static_cast<std::uint64_t>(i));
-    w.u64(line.block);
+    w.u64(tags_[i]);
     w.b(line.dirty);
     w.b(line.prefetched);
     w.u8(static_cast<std::uint8_t>(line.source));
@@ -246,6 +249,7 @@ void SystemCache::save_state(snapshot::Writer& w) const {
 void SystemCache::load_state(snapshot::Reader& r) {
   r.expect_tag(snapshot::tag4("CSH0"));
   for (Line& line : lines_) line = Line{};
+  set_valid_.assign(sets_, 0);
   const std::uint64_t valid = r.u64();
   if (valid > lines_.size()) {
     throw snapshot::SnapshotError("cache valid-line count exceeds capacity");
@@ -257,8 +261,17 @@ void SystemCache::load_state(snapshot::Reader& r) {
       throw snapshot::SnapshotError("cache line slot index out of order");
     }
     prev = i;
+    const std::uint64_t block = r.u64();
+    const std::uint32_t set = set_of(block);
+    if (i / static_cast<std::size_t>(config_.ways) != set) {
+      throw snapshot::SnapshotError("cache line block stored outside its set");
+    }
+    if (find(block) != nullptr) {
+      throw snapshot::SnapshotError("cache line block duplicated within its set");
+    }
+    tags_[i] = block;
+    ++set_valid_[set];
     Line& line = lines_[i];
-    line.block = r.u64();
     line.dirty = r.b();
     line.prefetched = r.b();
     const std::uint8_t src = r.u8();
@@ -267,14 +280,6 @@ void SystemCache::load_state(snapshot::Reader& r) {
     }
     line.source = static_cast<FillSource>(src);
     line.valid = true;
-  }
-  tags_.assign(lines_.size(), 0);
-  set_valid_.assign(sets_, 0);
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    if (lines_[i].valid) {
-      tags_[i] = lines_[i].block;
-      ++set_valid_[i / static_cast<std::size_t>(config_.ways)];
-    }
   }
   policy_->load_state(r);
   stats_.demand_accesses = r.u64();

@@ -124,7 +124,6 @@ class SystemCache {
 
  private:
   struct Line {
-    std::uint64_t block = 0;
     bool valid = false;
     bool dirty = false;
     bool prefetched = false;  ///< filled by prefetch, not yet demand-used
@@ -166,10 +165,11 @@ class SystemCache {
   std::uint32_t sets_;
   std::uint64_t set_mask_ = 0;  ///< sets_ - 1 (power-of-two geometry)
   std::vector<Line> lines_;  ///< sets_ * ways, row-major by set
-  // Tag column (SoA): tags_[slot] mirrors lines_[slot].block for valid
-  // slots. A lookup scans the ways of one set — 16 consecutive u64s, two
-  // cache lines — instead of hashing into an index sized 2x the line count;
-  // the tag column for a 1MB slice is L2-resident, the hash cells were not.
+  // Tag column (SoA): tags_[slot] is the block held by lines_[slot] — the
+  // only copy, read by lookups, eviction writebacks and save_state alike. A
+  // lookup scans the ways of one set — 16 consecutive u64s, two cache
+  // lines — instead of hashing into an index sized 2x the line count; the
+  // tag column for a 1MB slice is L2-resident, the hash cells were not.
   // Invalid slots keep a stale tag, so a tag match is confirmed against the
   // line's valid bit (false positives are possible, false negatives are not:
   // every valid line's tag is rewritten on fill).

@@ -6,12 +6,12 @@
 // Keys are hashed to a set with a strong 64-bit mixer; each set holds `ways`
 // entries replaced LRU. Same payload-centric interface as LruTable.
 //
-// Like LruTable, lookups go through an open-addressing TagIndex (key ->
-// global slot) instead of scanning the ways, and recency is a generation
-// stamp written on touch. Victim selection on a miss still walks the set's
-// ways — that scan is bounded by associativity, and keeping it verbatim
-// preserves the exact eviction order (first invalid way, else minimum
-// last_use) and the canonical save_state layout.
+// Keys live in one SoA column (keys_), the only copy of each key: a lookup
+// scans the key's set — at most `ways` consecutive keys, bounded by
+// associativity like the victim scan — and a stale key left in an invalid
+// slot is rejected by that slot's valid flag. Recency is a generation stamp
+// written on touch. Victim selection keeps the exact eviction order (first
+// invalid way, else minimum last_use) and the canonical save_state layout.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/tag_index.hpp"
 
 namespace planaria {
 
@@ -30,7 +29,7 @@ class SetAssocTable {
   SetAssocTable(std::size_t sets, int ways)
       : sets_(sets), ways_(ways),
         entries_(sets * static_cast<std::size_t>(ways)),
-        index_(entries_.size()) {
+        keys_(entries_.size()) {
     PLANARIA_ASSERT(sets > 0 && (sets & (sets - 1)) == 0);
     PLANARIA_ASSERT(ways > 0);
   }
@@ -47,76 +46,72 @@ class SetAssocTable {
   }
 
   Payload* find(const Key& key) {
-    const std::uint32_t s = index_.find(static_cast<std::uint64_t>(key));
-    if (s == TagIndex::npos) return nullptr;
+    const std::size_t s = slot_of(key);
+    if (s == kNone) return nullptr;
     Entry& e = entries_[s];
     e.last_use = ++tick_;
     return &e.payload;
   }
 
   const Payload* peek(const Key& key) const {
-    const std::uint32_t s = index_.find(static_cast<std::uint64_t>(key));
-    return s == TagIndex::npos ? nullptr : &entries_[s].payload;
+    const std::size_t s = slot_of(key);
+    return s == kNone ? nullptr : &entries_[s].payload;
   }
 
   /// Inserts key -> payload; returns the evicted (key, payload) if a valid
   /// LRU victim had to make room.
   std::optional<std::pair<Key, Payload>> insert(const Key& key, Payload payload) {
-    const std::uint32_t hit = index_.find(static_cast<std::uint64_t>(key));
-    if (hit != TagIndex::npos) {
+    if (const std::size_t hit = slot_of(key); hit != kNone) {
       Entry& e = entries_[hit];
       e.payload = std::move(payload);
       e.last_use = ++tick_;
       return std::nullopt;
     }
-    Entry* base = set_base(key);
-    Entry* victim = nullptr;
-    for (int w = 0; w < ways_; ++w) {
-      Entry& e = base[w];
+    const std::size_t base = set_base(key);
+    std::size_t victim = kNone;
+    for (std::size_t i = base; i < base + static_cast<std::size_t>(ways_); ++i) {
+      const Entry& e = entries_[i];
       if (!e.valid) {
-        if (victim == nullptr || victim->valid) victim = &e;
-      } else if (victim == nullptr ||
-                 (victim->valid && e.last_use < victim->last_use)) {
-        victim = &e;
+        if (victim == kNone || entries_[victim].valid) victim = i;
+      } else if (victim == kNone ||
+                 (entries_[victim].valid &&
+                  e.last_use < entries_[victim].last_use)) {
+        victim = i;
       }
     }
-    PLANARIA_ASSERT(victim != nullptr);
+    PLANARIA_ASSERT(victim != kNone);
+    Entry& v = entries_[victim];
     std::optional<std::pair<Key, Payload>> evicted;
-    if (victim->valid) {
-      index_.erase(static_cast<std::uint64_t>(victim->key));
-      evicted.emplace(victim->key, std::move(victim->payload));
+    if (v.valid) {
+      evicted.emplace(keys_[victim], std::move(v.payload));
     } else {
       ++live_;
     }
-    victim->key = key;
-    victim->payload = std::move(payload);
-    victim->last_use = ++tick_;
-    victim->valid = true;
-    index_.insert(static_cast<std::uint64_t>(key),
-                  static_cast<std::uint32_t>(victim - entries_.data()));
+    keys_[victim] = key;
+    v.payload = std::move(payload);
+    v.last_use = ++tick_;
+    v.valid = true;
     return evicted;
   }
 
   std::optional<Payload> erase(const Key& key) {
-    const std::uint32_t s = index_.find(static_cast<std::uint64_t>(key));
-    if (s == TagIndex::npos) return std::nullopt;
+    const std::size_t s = slot_of(key);
+    if (s == kNone) return std::nullopt;
     Entry& e = entries_[s];
     e.valid = false;
     --live_;
-    index_.erase(static_cast<std::uint64_t>(key));
     return std::move(e.payload);
   }
 
   void clear() {
     for (auto& e : entries_) e.valid = false;
     live_ = 0;
-    index_.clear();
   }
 
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (auto& e : entries_) {
-      if (e.valid) fn(e.key, e.payload);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].valid) fn(keys_[i], entries_[i].payload);
     }
   }
 
@@ -132,12 +127,12 @@ class SetAssocTable {
   /// callers amortize by sweeping periodically.
   template <typename Pred, typename OnEvict>
   void evict_if(Pred&& pred, OnEvict&& on_evict) {
-    for (auto& e : entries_) {
-      if (e.valid && pred(e.key, e.payload)) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_[i];
+      if (e.valid && pred(keys_[i], e.payload)) {
         e.valid = false;
         --live_;
-        index_.erase(static_cast<std::uint64_t>(e.key));
-        on_evict(e.key, std::move(e.payload));
+        on_evict(keys_[i], std::move(e.payload));
       }
     }
   }
@@ -156,15 +151,17 @@ class SetAssocTable {
       const Entry& e = entries_[i];
       if (!e.valid) continue;
       w.u64(static_cast<std::uint64_t>(i));
-      w.u64(static_cast<std::uint64_t>(e.key));
+      w.u64(static_cast<std::uint64_t>(keys_[i]));
       w.u64(e.last_use);
       sp(w, e.payload);
     }
   }
 
   /// Restore counterpart; `lp(r)` decodes one payload. Geometry must match
-  /// the constructed table (slot indices out of range, descending, or
-  /// duplicated reject the snapshot via `r.fail`, which must not return).
+  /// the constructed table: slot indices out of range, descending, or
+  /// duplicated, a key stored outside the set it hashes to, and a key
+  /// already valid in its set all reject the snapshot via `r.fail`, which
+  /// must not return — a set scan could never find such an entry again.
   template <typename Reader, typename LoadPayload>
   void load_state(Reader& r, LoadPayload&& lp) {
     clear();
@@ -180,25 +177,32 @@ class SetAssocTable {
         r.fail("set table slot index out of order");
       }
       prev = i;
+      const Key key = static_cast<Key>(r.u64());
+      const std::size_t base = set_base(key);
+      if (i < base || i >= base + static_cast<std::size_t>(ways_)) {
+        r.fail("set table key stored outside its set");
+      }
+      if (slot_of(key) != kNone) {
+        r.fail("set table key duplicated within its set");
+      }
       Entry& e = entries_[i];
-      e.key = static_cast<Key>(r.u64());
+      keys_[i] = key;
       e.last_use = r.u64();
       e.payload = lp(r);
       e.valid = true;
-      index_.insert(static_cast<std::uint64_t>(e.key),
-                    static_cast<std::uint32_t>(i));
     }
     live_ = static_cast<std::size_t>(count);
   }
 
  private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
   std::size_t scanned_size() const {
     std::size_t n = 0;
     for (const auto& e : entries_) n += e.valid ? 1 : 0;
     return n;
   }
   struct Entry {
-    Key key{};
     Payload payload{};
     std::uint64_t last_use = 0;
     bool valid = false;
@@ -213,18 +217,25 @@ class SetAssocTable {
     return x;
   }
 
-  Entry* set_base(const Key& key) {
+  /// First slot of the set `key` hashes to.
+  std::size_t set_base(const Key& key) const {
     const std::size_t set = mix(static_cast<std::uint64_t>(key)) & (sets_ - 1);
-    return &entries_[set * static_cast<std::size_t>(ways_)];
+    return set * static_cast<std::size_t>(ways_);
   }
-  const Entry* set_base(const Key& key) const {
-    return const_cast<SetAssocTable*>(this)->set_base(key);
+
+  /// Slot holding `key` as a valid entry, or kNone. Never touches recency.
+  std::size_t slot_of(const Key& key) const {
+    const std::size_t base = set_base(key);
+    for (std::size_t i = base; i < base + static_cast<std::size_t>(ways_); ++i) {
+      if (keys_[i] == key && entries_[i].valid) return i;
+    }
+    return kNone;
   }
 
   std::size_t sets_;
   int ways_;
   std::vector<Entry> entries_;
-  TagIndex index_;
+  std::vector<Key> keys_;  ///< keys_[slot]: meaningful only while valid
   std::uint64_t tick_ = 0;
   std::size_t live_ = 0;
 };

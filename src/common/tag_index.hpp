@@ -1,12 +1,14 @@
-// Open-addressing key -> slot index for the content-addressed tables.
+// Open-addressing key -> slot index for the fully associative tables.
 //
-// The hardware tables (LruTable, SetAssocTable, the SC tag array, TLP's
-// Recent Page Table) are CAMs: a probe compares every entry. Exact at
-// hardware scale, but a simulation bottleneck once the probe sits on the
-// per-record spine. This index shadows a table's valid entries with an
+// LruTable and TLP's Recent Page Table are CAMs: a probe compares every
+// entry. Exact at hardware scale, but a simulation bottleneck once the probe
+// sits on the per-record spine, and with no set to narrow it the scan covers
+// the whole table. This index shadows such a table's valid entries with an
 // open-addressing hash (linear probing, backward-shift deletion) so lookups
 // cost O(1) while the table itself keeps its slot array — and therefore its
 // eviction order and PLNSNAP1 serialization — byte-for-byte unchanged.
+// Set-associative tables (SetAssocTable, the SC tag column) need no index:
+// they scan the key's set, at most `ways` consecutive keys.
 //
 // Capacity is fixed at construction (2x the owning table's slot count,
 // rounded to a power of two), so the load factor never exceeds 1/2 and the

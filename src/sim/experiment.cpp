@@ -22,6 +22,15 @@ std::uint64_t records_from_env(std::uint64_t fallback) {
   return v;
 }
 
+std::uint64_t records_from_arg(const char* text) {
+  std::uint64_t v = 0;
+  if (!common::parse_u64(text, v) || v == 0) {
+    throw std::invalid_argument("records must be a positive integer, got '" +
+                                std::string(text) + "'");
+  }
+  return v;
+}
+
 ExperimentRunner::ExperimentRunner(SimConfig config, std::uint64_t records,
                                    std::size_t threads)
     : config_(config), records_(records) {

@@ -32,6 +32,10 @@ namespace planaria::sim {
 /// Reads PLANARIA_RECORDS (decimal, e.g. "2000000") or returns `fallback`.
 std::uint64_t records_from_env(std::uint64_t fallback);
 
+/// Parses a record count given on a command line; throws
+/// std::invalid_argument on zero or anything but a plain decimal u64.
+std::uint64_t records_from_arg(const char* text);
+
 // lint: suppress(snapshot-missing) sweep progress persists per-cell as .result files, not via the codec
 class ExperimentRunner {
  public:

@@ -151,8 +151,9 @@ class RefLruTable {
 
 // ------------------------------------------------------ reference set-assoc
 
-// The original SetAssocTable: same set hash, but lookups scan the set's ways
-// instead of probing the TagIndex.
+// Array-of-structs SetAssocTable: same set hash, but each entry carries its
+// own key and every scan walks the entries, where the real table scans a
+// separate key column.
 class RefSetAssocTable {
  public:
   RefSetAssocTable(std::size_t sets, int ways)
@@ -423,6 +424,17 @@ TEST(DifferentialSetAssocTable, MatchesWayScanReferenceOverRandomOps) {
       if (step % 101 == 0) {
         ASSERT_EQ(snap_indexed(), snap_reference())
             << "snapshot divergence at step " << step;
+      }
+      if (step % 500 == 499) {
+        // Reload in lockstep: the random ops continue on a table rebuilt
+        // from its own snapshot (key column, recency stamps, live count).
+        const auto bytes = snap_indexed();
+        SetAssocTable<std::uint64_t, Payload> reloaded(kSets, kWays);
+        snapshot::Reader r(bytes);
+        reloaded.load_state(r, [](snapshot::Reader& rr) { return rr.u64(); });
+        r.require_end();
+        indexed = std::move(reloaded);
+        ASSERT_EQ(snap_indexed(), bytes) << "reload at step " << step;
       }
     }
     EXPECT_EQ(snap_indexed(), snap_reference());

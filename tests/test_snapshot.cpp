@@ -19,6 +19,7 @@
 //     bump snapshot::kFormatVersion and regenerate the golden with
 //     PLANARIA_WRITE_GOLDEN=1 (see SnapshotGolden below).
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -659,6 +661,144 @@ TEST(SnapshotFuzz, WrongKindPayloadIsRejected) {
   auto spp = warmed(sim::PrefetcherKind::kSpp, t, 0);
   snapshot::Reader r(w.buffer());
   EXPECT_THROW(spp->load_state(r), snapshot::SnapshotError);
+}
+
+// ---------------------------------------------------------------------------
+// Keys a set scan cannot find: the SC tag column and the SLP/SMS tables look
+// a key up only within the set it maps to, so a restore must reject a valid
+// slot whose key maps to another set, and a key already valid in its set.
+// Each case patches one key of a real mid-run simulator snapshot.
+// ---------------------------------------------------------------------------
+
+std::uint64_t read_le64(const std::vector<std::uint8_t>& buf, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | buf.at(at + i);
+  return v;
+}
+
+void write_le64(std::vector<std::uint8_t>& buf, std::size_t at,
+                std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    buf.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// One valid-slot record of a table section: where its key sits in the
+/// buffer, its slot index and its key.
+struct SlotRecord {
+  std::size_t key_at = 0;
+  std::uint64_t slot = 0;
+  std::uint64_t key = 0;
+};
+
+/// Records of the first section tagged `tag` whose body opens with
+/// `header_bytes` of fixed fields, then a u64 record count, then records of
+/// (u64 slot, u64 key, `tail_bytes` more).
+std::vector<SlotRecord> slot_records(const std::vector<std::uint8_t>& buf,
+                                     std::uint32_t tag,
+                                     std::size_t header_bytes,
+                                     std::size_t tail_bytes) {
+  snapshot::Writer needle;
+  needle.tag(tag);
+  const auto it = std::search(buf.begin(), buf.end(), needle.buffer().begin(),
+                              needle.buffer().end());
+  if (it == buf.end()) return {};
+  std::size_t at = static_cast<std::size_t>(it - buf.begin()) + 4 +
+                   header_bytes;
+  const std::uint64_t count = read_le64(buf, at);
+  at += 8;
+  std::vector<SlotRecord> out;
+  for (std::uint64_t n = 0; n < count; ++n) {
+    out.push_back({at + 8, read_le64(buf, at), read_le64(buf, at + 8)});
+    at += 16 + tail_bytes;
+  }
+  return out;
+}
+
+/// Index of the first record whose successor shares its set.
+std::optional<std::size_t> first_same_set_pair(
+    const std::vector<SlotRecord>& recs, std::uint64_t ways) {
+  for (std::size_t k = 0; k + 1 < recs.size(); ++k) {
+    if (recs[k].slot / ways == recs[k + 1].slot / ways) return k;
+  }
+  return std::nullopt;
+}
+
+void expect_restore_rejects(const std::vector<std::uint8_t>& bytes,
+                            const trace::TraceBatch& t,
+                            const std::string& reason) {
+  auto fresh = warmed(sim::PrefetcherKind::kPlanaria, t, 0);
+  snapshot::Reader r(bytes);
+  try {
+    fresh->load_state(r);
+    ADD_FAILURE() << "restore accepted a patched key; expected: " << reason;
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Planaria snapshot after 5000 of `t`'s records; checks it loads unpatched.
+std::vector<std::uint8_t> real_snapshot(const trace::TraceBatch& t) {
+  const auto original = warmed(sim::PrefetcherKind::kPlanaria, t, 5000);
+  snapshot::Writer w;
+  original->save_state(w);
+  auto fresh = warmed(sim::PrefetcherKind::kPlanaria, t, 0);
+  snapshot::Reader r(w.buffer());
+  fresh->load_state(r);
+  r.require_end();
+  return w.buffer();
+}
+
+TEST(SnapshotRestore, CacheRejectsLinesASetScanCannotFind) {
+  const trace::TraceBatch t(test_trace(6000));
+  const std::vector<std::uint8_t> real = real_snapshot(t);
+  // SC lines (CSH0): u64 count, then (slot, block, dirty, prefetched,
+  // source). A block's set is its low bits.
+  const std::uint64_t sc_ways =
+      static_cast<std::uint64_t>(cache::CacheConfig{}.ways);
+  const auto lines = slot_records(real, snapshot::tag4("CSH0"), 0, 3);
+  ASSERT_FALSE(lines.empty());
+  {
+    auto bytes = real;
+    write_le64(bytes, lines[0].key_at, lines[0].key ^ 1);
+    expect_restore_rejects(bytes, t, "cache line block stored outside its set");
+  }
+  const auto line_pair = first_same_set_pair(lines, sc_ways);
+  ASSERT_TRUE(line_pair.has_value());
+  {
+    auto bytes = real;
+    write_le64(bytes, lines[*line_pair + 1].key_at, lines[*line_pair].key);
+    expect_restore_rejects(bytes, t,
+                           "cache line block duplicated within its set");
+  }
+}
+
+TEST(SnapshotRestore, SetTableRejectsKeysASetScanCannotFind) {
+  const trace::TraceBatch t(test_trace(6000));
+  const std::vector<std::uint8_t> real = real_snapshot(t);
+  // SLP filter table (first table after SLP0): u64 tick, u64 count, then
+  // (slot, key, last_use, 3 offset bytes + u32 count).
+  const std::uint64_t ft_ways =
+      static_cast<std::uint64_t>(core::SlpConfig{}.ft_ways);
+  const auto ft = slot_records(real, snapshot::tag4("SLP0"), 8, 8 + 7);
+  const auto other_set =
+      std::find_if(ft.begin(), ft.end(), [&](const SlotRecord& rec) {
+        return rec.slot / ft_ways != ft.front().slot / ft_ways;
+      });
+  ASSERT_NE(other_set, ft.end());
+  {
+    auto bytes = real;
+    write_le64(bytes, ft.front().key_at, other_set->key);
+    expect_restore_rejects(bytes, t, "set table key stored outside its set");
+  }
+  const auto ft_pair = first_same_set_pair(ft, ft_ways);
+  ASSERT_TRUE(ft_pair.has_value());
+  {
+    auto bytes = real;
+    write_le64(bytes, ft[*ft_pair + 1].key_at, ft[*ft_pair].key);
+    expect_restore_rejects(bytes, t, "set table key duplicated within its set");
+  }
 }
 
 // ---------------------------------------------------------------------------
