@@ -185,17 +185,16 @@ bool SystemCache::is_unused_prefetch(std::uint64_t block) const {
 void SystemCache::track_pollution_eviction(std::uint64_t block) {
   if (pollution_fifo_.size() < kPollutionFilterCap) {
     pollution_fifo_.push_back(block);
-    pollution_set_.insert(block);
+    if (!pollution_set_.contains(block)) pollution_set_.insert(block, 0);
     return;
   }
   const std::uint64_t old = pollution_fifo_[pollution_head_];
   pollution_set_.erase(old);
   pollution_fifo_[pollution_head_] = block;
-  pollution_set_.insert(block);
+  if (!pollution_set_.contains(block)) pollution_set_.insert(block, 0);
   pollution_head_ = (pollution_head_ + 1) % kPollutionFilterCap;
   // Erase-before-insert matters when old == block (set semantics, not
-  // multiset): the ordering above leaves the block a member, matching the
-  // std::unordered_set implementation this structure replaced.
+  // multiset): the ordering above leaves the block a member.
   // The FIFO and the membership set shadow each other; duplicates in the
   // FIFO would let the set shrink below it and break O(1) membership.
   PLANARIA_INVARIANT_MSG(kTableOccupancy,
@@ -240,8 +239,12 @@ void SystemCache::save_state(snapshot::Writer& w) const {
   w.u64(static_cast<std::uint64_t>(pollution_fifo_.size()));
   for (std::uint64_t v : pollution_fifo_) w.u64(v);
   w.u64(static_cast<std::uint64_t>(pollution_head_));
+  // Members are collected from the unordered set, then sorted (canonical).
   std::vector<std::uint64_t> members;
-  pollution_set_.sorted_members(members);
+  members.reserve(pollution_set_.size());
+  pollution_set_.for_each(
+      [&](std::uint64_t block, std::uint8_t) { members.push_back(block); });
+  std::sort(members.begin(), members.end());
   w.u64(static_cast<std::uint64_t>(members.size()));
   for (std::uint64_t v : members) w.u64(v);
 }
@@ -310,9 +313,17 @@ void SystemCache::load_state(snapshot::Reader& r) {
   if (set_size > fifo_size) {
     throw snapshot::SnapshotError("pollution set larger than its FIFO");
   }
-  std::vector<std::uint64_t> members(set_size);
-  for (std::uint64_t& v : members) v = r.u64();
-  pollution_set_.assign(std::move(members));
+  // The writer emits each member once, ascending; anything else is forged.
+  pollution_set_.clear();
+  for (std::uint64_t n = 0; n < set_size; ++n) {
+    const std::uint64_t block = r.u64();
+    if (n > 0 && block <= prev) {
+      throw snapshot::SnapshotError(
+          "pollution set members not strictly ascending");
+    }
+    prev = block;
+    pollution_set_.insert(block, 0);
+  }
 }
 
 }  // namespace planaria::cache

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "cache/replacement.hpp"
-#include "common/deferred_set.hpp"
+#include "common/block_map.hpp"
 #include "common/types.hpp"
 
 namespace planaria::cache {
@@ -185,11 +185,10 @@ class SystemCache {
   std::uint64_t redundant_fills_ = 0;
 
   // Pollution filter: blocks recently evicted to make room for a prefetch
-  // that was never used. Bounded FIFO + sorted-vector membership set whose
-  // inserts/erases land in small deferred buffers instead of allocating
-  // hash nodes on the access path.
+  // that was never used. Bounded FIFO + open-addressing membership set (the
+  // map's values are unused), so the access path allocates no hash nodes.
   static constexpr std::size_t kPollutionFilterCap = 1 << 14;
-  DeferredSortedSet pollution_set_;
+  common::BlockMap<std::uint8_t> pollution_set_;
   std::vector<std::uint64_t> pollution_fifo_;
   std::size_t pollution_head_ = 0;
 };

@@ -1,18 +1,24 @@
-// Open-addressing block -> value map for the MSHR-style in-flight tables.
+// Open-addressing block -> value map: the one hash structure in common/.
 //
-// The per-channel in-flight table lives on the per-record spine: every demand
-// miss and every accepted prefetch inserts an entry, every DRAM completion
-// looks it up and erases it. A node-based std::unordered_map pays one heap
-// allocation and one free per miss, which at millions of records per second
-// is a measurable slice of the hot loop. This map stores entries inline in a
-// flat cell array (linear probing, backward-shift deletion — same discipline
-// as TagIndex), so steady-state insert/erase churn touches no allocator at
-// all once the table has grown to its working size.
+// Its users all sit on the per-record spine:
+//   * the per-channel MSHR-style in-flight table — every demand miss and
+//     every accepted prefetch inserts an entry, every DRAM completion looks
+//     it up and erases it;
+//   * the key -> slot shadows of the two fully associative CAMs, LruTable
+//     (SPP's signature table) and TLP's Recent Page Table, which with no set
+//     to narrow a probe would otherwise scan every entry;
+//   * membership sets (values unused): the DRAM write queue's blocks and
+//     the SC pollution filter.
+// A node-based std::unordered_map pays one heap allocation and one free per
+// insert. This map stores entries inline in a flat cell array (linear
+// probing, backward-shift deletion), so steady-state insert/erase churn
+// touches no allocator at all once the table has grown to its working size,
+// and the load factor never exceeds 1/2.
 //
 // Unordered like the container it replaces: callers that serialize must
-// collect-and-sort keys (the simulator already does), and range iteration is
-// only for order-independent reductions. Key 0 is a legal block number, so
-// occupancy is a separate flag, not a sentinel key.
+// collect-and-sort keys (the simulator and the SC pollution filter do), and
+// range iteration is only for order-independent reductions. Key 0 is a legal
+// block number, so occupancy is a separate flag, not a sentinel key.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace planaria::common {
 
@@ -117,19 +124,10 @@ class BlockMap {
 
   static constexpr std::size_t kMinCapacity = 16;
 
-  // Same splitmix-style mixer as TagIndex: block numbers are dense sequences
-  // that would cluster badly under identity hashing.
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
-
+  // Block and page numbers are dense sequences that would cluster badly
+  // under identity hashing.
   std::size_t bucket(std::uint64_t key) const {
-    return static_cast<std::size_t>(mix(key)) & mask_;
+    return static_cast<std::size_t>(splitmix_finalize(key)) & mask_;
   }
 
   void rehash(std::size_t want) {

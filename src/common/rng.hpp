@@ -1,4 +1,7 @@
-// Deterministic random number generation for the synthetic trace generators.
+// Deterministic random number generation: the synthetic trace generators,
+// the fault injectors and the storage-fault shim all draw from this one
+// generator. The splitmix64 finalizer it seeds with is shared by the table
+// hashes and seed derivations.
 //
 // xoshiro256** (Blackman & Vigna) — small state, excellent statistical
 // quality, and identical output on every platform, which keeps bench output
@@ -21,11 +24,26 @@
 
 namespace planaria {
 
+/// splitmix64's output finalizer: a bijective 64-bit mix. The one copy in the
+/// tree — the table hashes, seed derivations and Rng's seeding all call it,
+/// each with its own pre-step (a golden-ratio add or an xor of its inputs).
+inline std::uint64_t splitmix_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   /// Seeds the full 256-bit state from a 64-bit seed via splitmix64, per the
-  /// xoshiro authors' recommendation.
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
+  /// xoshiro authors' recommendation. Four distinct inputs through a
+  /// bijection: at most one word is zero, never the forbidden all-zero state.
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) {
+    for (auto& word : s_) {
+      seed += 0x9E3779B97F4A7C15ull;
+      word = splitmix_finalize(seed);
+    }
+  }
 
   /// Uniform 64-bit value.
   std::uint64_t next() {

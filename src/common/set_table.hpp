@@ -3,7 +3,7 @@
 // The larger hardware tables (SLP's Pattern History Table at thousands of
 // entries, SPP's Signature Table) are set-associative in real designs, and a
 // full CAM scan of that many entries would also be a simulation bottleneck.
-// Keys are hashed to a set with a strong 64-bit mixer; each set holds `ways`
+// Keys are hashed to a set with the splitmix64 finalizer; each set holds `ways`
 // entries replaced LRU. Same payload-centric interface as LruTable.
 //
 // Keys live in one SoA column (keys_), the only copy of each key: a lookup
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 namespace planaria {
 
@@ -208,18 +209,10 @@ class SetAssocTable {
     bool valid = false;
   };
 
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
-
   /// First slot of the set `key` hashes to.
   std::size_t set_base(const Key& key) const {
-    const std::size_t set = mix(static_cast<std::uint64_t>(key)) & (sets_ - 1);
+    const std::size_t set =
+        splitmix_finalize(static_cast<std::uint64_t>(key)) & (sets_ - 1);
     return set * static_cast<std::size_t>(ways_);
   }
 

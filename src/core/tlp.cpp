@@ -28,16 +28,15 @@ Tlp::Tlp(const TlpConfig& config)
       pages_(static_cast<std::size_t>(config.rpt_entries), 0),
       bitmaps_(static_cast<std::size_t>(config.rpt_entries)),
       last_use_(static_cast<std::size_t>(config.rpt_entries), 0),
-      valid_(static_cast<std::size_t>(config.rpt_entries), 0),
-      page_index_(static_cast<std::size_t>(config.rpt_entries)) {
+      valid_(static_cast<std::size_t>(config.rpt_entries), 0) {
   config_.validate();
   ref_words_ = (static_cast<std::size_t>(config_.rpt_entries) + 63) / 64;
   ref_.assign(slot_count() * ref_words_, 0);
 }
 
 int Tlp::find_slot(PageNumber page) const {
-  const std::uint32_t s = page_index_.find(page);
-  return s == TagIndex::npos ? -1 : static_cast<int>(s);
+  const std::uint32_t* s = page_index_.find(page);
+  return s == nullptr ? -1 : static_cast<int>(*s);
 }
 
 int Tlp::allocate(PageNumber page) {
@@ -248,6 +247,7 @@ void Tlp::load_state(snapshot::Reader& r) {
   }
   const std::size_t row_bytes = (slot_count() + 7) / 8;
   std::fill(ref_.begin(), ref_.end(), 0);
+  page_index_.clear();
   for (std::size_t i = 0; i < slot_count(); ++i) {
     pages_[i] = 0;
     bitmaps_[i].reset();
@@ -255,6 +255,12 @@ void Tlp::load_state(snapshot::Reader& r) {
     valid_[i] = r.b() ? 1 : 0;
     if (valid_[i] == 0) continue;
     pages_[i] = r.u64();
+    // The page index holds one slot per page, so a twin would be unreachable
+    // (find_slot would only ever see one of them).
+    if (page_index_.contains(pages_[i])) {
+      throw snapshot::SnapshotError("RPT page valid in two slots");
+    }
+    page_index_.insert(pages_[i], static_cast<std::uint32_t>(i));
     bitmaps_[i] = SegmentBitmap(r.u16());
     last_use_[i] = r.u64();
     std::uint64_t* row = ref_.data() + i * ref_words_;
@@ -268,12 +274,6 @@ void Tlp::load_state(snapshot::Reader& r) {
     }
   }
   tick_ = r.u64();
-  page_index_.clear();
-  for (std::size_t i = 0; i < slot_count(); ++i) {
-    if (valid_[i] != 0 && page_index_.find(pages_[i]) == TagIndex::npos) {
-      page_index_.insert(pages_[i], static_cast<std::uint32_t>(i));
-    }
-  }
   stats_.allocations = r.u64();
   stats_.issue_triggers = r.u64();
   stats_.transfers = r.u64();

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/bitmap.hpp"
-#include "common/tag_index.hpp"
+#include "common/block_map.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace planaria::core {
@@ -123,7 +123,8 @@ class Tlp {
   std::vector<std::uint8_t> valid_;      ///< per-slot occupancy flag
   std::size_t ref_words_ = 1;        ///< 64-bit words per Ref row
   std::vector<std::uint64_t> ref_;   ///< flat N x ref_words_ bit matrix
-  TagIndex page_index_;  ///< page -> RPT slot, shadowing the valid entries
+  /// page -> slot of each valid entry
+  common::BlockMap<std::uint32_t> page_index_;
   std::uint64_t tick_ = 0;
   TlpStats stats_;
   fault::FaultInjector* fault_ = nullptr;

@@ -57,10 +57,8 @@ FaultPlan FaultPlan::for_session(std::uint64_t session_id) const {
   FaultPlan derived = *this;
   // splitmix64 finalizer over (seed, id). The +1 keeps session 0 from
   // degenerating to the fleet seed itself.
-  std::uint64_t z = seed ^ ((session_id + 1) * 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  derived.seed = z ^ (z >> 31);
+  derived.seed =
+      splitmix_finalize(seed ^ ((session_id + 1) * 0x9E3779B97F4A7C15ull));
   return derived;
 }
 

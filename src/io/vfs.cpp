@@ -15,17 +15,10 @@ namespace planaria::io {
 
 namespace {
 
-/// splitmix64 finalizer — the seed expander the xoshiro authors recommend,
-/// and the same mixing step FaultPlan::for_session uses for decorrelation.
+/// One splitmix64 step (golden-ratio add, then the shared finalizer) — the
+/// seed expander the xoshiro authors recommend.
 std::uint64_t mix64(std::uint64_t x) {
-  std::uint64_t z = x + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
+  return splitmix_finalize(x + 0x9E3779B97F4A7C15ull);
 }
 
 std::string errno_detail(const std::string& fallback) {
@@ -112,43 +105,6 @@ const char* io_fault_class_name(IoFaultClass fault_class) {
   return "?";
 }
 
-Stream::Stream(std::uint64_t seed) {
-  std::uint64_t x = seed;
-  for (auto& word : s_) {
-    x += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    word = z ^ (z >> 31);
-  }
-}
-
-std::uint64_t Stream::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Stream::next_below(std::uint64_t bound) {
-  // Multiply-shift range reduction (Lemire); bias is negligible for fault
-  // target selection and the method is branch-free and platform-stable.
-  const unsigned __int128 m =
-      static_cast<unsigned __int128>(next()) * bound;
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool Stream::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return (static_cast<double>(next() >> 11) * 0x1.0p-53) < p;
-}
-
 bool IoFaultPlan::any_enabled() const {
   for (const double r : rate) {
     if (r > 0.0) return true;
@@ -185,22 +141,22 @@ IoFaultPlan IoFaultPlan::for_site(std::uint64_t site_id) const {
 IoFaultInjector::IoFaultInjector(const IoFaultPlan& plan, std::uint64_t stream)
     : plan_(plan),
       decision_{
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 0))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 1))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 2))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 3))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 4))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 5))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 6))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 0))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 1))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 2))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 3))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 4))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 5))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 6))),
       },
       aux_{
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 8))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 9))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 10))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 11))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 12))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 13))),
-          Stream(mix64(plan.seed ^ mix64(stream * 16 + 14))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 8))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 9))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 10))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 11))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 12))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 13))),
+          Rng(mix64(plan.seed ^ mix64(stream * 16 + 14))),
       } {
   plan_.validate();
 }

@@ -17,15 +17,15 @@
 //     trial per storage-fault class — EIO on read/write, ENOSPC mid-write,
 //     torn/short writes at a seeded byte offset, rename failure, fsync loss,
 //     read-side bit-rot. The shim mirrors the src/fault idiom exactly: two
-//     private xoshiro streams per class (decision + target), roll()/record()
+//     private Rng streams per class (decision + target), roll()/record()
 //     separation so injected() counts *applied* faults, and a splitmix64
 //     for_site() derivative so independent drill sites draw decorrelated
 //     sequences from one plan. planaria-audit --stage storm drives the whole
 //     recovery chain through this shim.
 //
 // Layering: io sits below trace and snapshot (both route their file writes
-// here), so like the snapshot codec it depends on nothing — it carries its
-// own xoshiro copy instead of reaching up into common/rng.hpp.
+// here) and above common, whose header-only Rng it draws from; it links no
+// library but the warnings interface.
 //
 // Failure contract: write_file_durable/read_file/rename_file throw IoError
 // (callers in higher layers translate into their own error types);
@@ -37,6 +37,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace planaria::io {
 
@@ -64,23 +66,6 @@ enum class IoFaultClass : std::uint8_t {
 inline constexpr int kIoFaultClassCount = static_cast<int>(IoFaultClass::kCount);
 
 const char* io_fault_class_name(IoFaultClass fault_class);
-
-/// xoshiro256** stream, seeded via splitmix64 — a local copy of the
-/// common/rng.hpp generator (io sits below common's library in the link
-/// order, and the two must not entangle). Only the operations the fault shim
-/// needs.
-class Stream {
- public:
-  explicit Stream(std::uint64_t seed);
-  std::uint64_t next();
-  /// Uniform integer in [0, bound). bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
-  /// Bernoulli trial with probability p.
-  bool chance(double p);
-
- private:
-  std::uint64_t s_[4];
-};
 
 /// Which storage faults to inject, how often, from which seed. A default
 /// plan injects nothing; the zero-rate path consumes no randomness, so an
@@ -124,7 +109,7 @@ class IoFaultInjector {
   bool roll(IoFaultClass fault_class);
 
   /// Target-selection stream for a fired decision. Never consumed by roll().
-  Stream& rng(IoFaultClass fault_class) {
+  Rng& rng(IoFaultClass fault_class) {
     return aux_[static_cast<int>(fault_class)];
   }
 
@@ -144,8 +129,8 @@ class IoFaultInjector {
 
  private:
   IoFaultPlan plan_;
-  Stream decision_[kIoFaultClassCount];
-  Stream aux_[kIoFaultClassCount];
+  Rng decision_[kIoFaultClassCount];
+  Rng aux_[kIoFaultClassCount];
   std::uint64_t injected_[kIoFaultClassCount] = {};
 };
 

@@ -16,10 +16,7 @@ namespace {
 /// perturbs the app profile seed, so adjacent tenant seeds produce
 /// unrelated traces.
 std::uint64_t mix64(std::uint64_t x) {
-  std::uint64_t z = x + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return splitmix_finalize(x + 0x9E3779B97F4A7C15ull);
 }
 
 constexpr fault::FaultClass kDrillClass = fault::FaultClass::kTraceCorruption;
@@ -91,7 +88,7 @@ SessionServer::SessionServer(ServeConfig config, std::size_t threads)
   if (threads > 1) pool_ = std::make_unique<common::ThreadPool>(threads);
   drill_plan_.seed = config_.drill_seed;
   drill_plan_.rate[static_cast<int>(kDrillClass)] = config_.session_fault_rate;
-  ckpt_jitter_ = io::Stream(mix64(config_.drill_seed ^ 0xC4B7'C4B7ull));
+  ckpt_jitter_ = Rng(mix64(config_.drill_seed ^ 0xC4B7'C4B7ull));
   ckpt_payloads_.resize(threads);
 }
 
@@ -630,7 +627,7 @@ void SessionServer::reset_runtime() {
   // server starts with a clean failstreak and no pending re-attempt.
   ckpt_failstreak_ = 0;
   ckpt_retry_at_ = 0;
-  ckpt_jitter_ = io::Stream(mix64(config_.drill_seed ^ 0xC4B7'C4B7ull));
+  ckpt_jitter_ = Rng(mix64(config_.drill_seed ^ 0xC4B7'C4B7ull));
   for (Session& s : sessions_) {
     const SessionSpec spec = s.spec;
     const std::uint64_t id = s.id;

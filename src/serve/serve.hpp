@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "analysis/analysis.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "io/vfs.hpp"
@@ -354,7 +355,7 @@ class SessionServer {
   /// in ServeCounters.
   int ckpt_failstreak_ = 0;
   std::uint64_t ckpt_retry_at_ = 0;
-  io::Stream ckpt_jitter_{0};
+  Rng ckpt_jitter_{0};
   ServeCounters counters_;
   RecoveryStats recovery_;
   FleetSummary summary_;

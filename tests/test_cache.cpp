@@ -3,10 +3,16 @@
 // tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "cache/replacement.hpp"
 #include "cache/system_cache.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace planaria::cache {
 namespace {
@@ -188,6 +194,108 @@ TEST(SystemCache, PollutionMissDetected) {
   cache.fill(config.sets(), FillSource::kPrefetchTlp);  // evicts it
   EXPECT_FALSE(cache.access(0, AccessType::kRead).hit);
   EXPECT_EQ(cache.stats().pollution_misses, 1u);
+}
+
+// Reference model of the pollution filter: a FIFO of the last 16384 demand
+// blocks displaced by prefetch fills, shadowed by a set. Popping a block
+// erases it from the set even while a twin is still queued.
+struct RefPollutionFilter {
+  static constexpr std::size_t kCap = 1 << 14;
+  std::deque<std::uint64_t> fifo;
+  std::unordered_set<std::uint64_t> set;
+  std::uint64_t tracked = 0;
+  std::uint64_t wraps_over_duplicate = 0;
+
+  void track(std::uint64_t block) {
+    ++tracked;
+    if (fifo.size() == kCap) {
+      const std::uint64_t old = fifo.front();
+      fifo.pop_front();
+      if (std::find(fifo.begin(), fifo.end(), old) != fifo.end()) {
+        ++wraps_over_duplicate;
+      }
+      set.erase(old);
+    }
+    fifo.push_back(block);
+    set.insert(block);
+  }
+
+  /// The filter's snapshot tail: the FIFO in ring-array order, its head, and
+  /// the sorted members.
+  std::vector<std::uint8_t> encoding() const {
+    const std::size_t head =
+        fifo.size() < kCap ? 0 : static_cast<std::size_t>(tracked % kCap);
+    std::vector<std::uint64_t> ring(fifo.size());
+    for (std::size_t k = 0; k < fifo.size(); ++k) {
+      ring[(head + k) % ring.size()] = fifo[k];
+    }
+    std::vector<std::uint64_t> members(set.begin(), set.end());
+    std::sort(members.begin(), members.end());
+    snapshot::Writer w;
+    w.u64(ring.size());
+    for (const std::uint64_t v : ring) w.u64(v);
+    w.u64(head);
+    w.u64(members.size());
+    for (const std::uint64_t v : members) w.u64(v);
+    return w.buffer();
+  }
+};
+
+std::vector<std::uint8_t> cache_bytes(const SystemCache& cache) {
+  snapshot::Writer w;
+  cache.save_state(w);
+  return w.buffer();
+}
+
+bool ends_with(const std::vector<std::uint8_t>& bytes,
+               const std::vector<std::uint8_t>& tail) {
+  return bytes.size() >= tail.size() &&
+         std::equal(tail.begin(), tail.end(), bytes.end() - tail.size());
+}
+
+TEST(SystemCache, PollutionFilterMatchesFifoAndSetReference) {
+  // One way per set: a prefetch fill into a demand block's set always
+  // evicts that block, so every iteration tracks exactly one eviction.
+  auto config = tiny_config();
+  config.ways = 1;
+  SystemCache cache(config);
+  RefPollutionFilter ref;
+  std::uint64_t ref_pollution_misses = 0;
+  std::vector<std::uint64_t> demanded;
+  std::uint64_t fresh = 1000;
+  // Every seventh demand revisits the block displaced three iterations ago:
+  // a pollution miss while that block is a member, and a duplicate in the
+  // FIFO that the ring later wraps over.
+  const auto step = [&](SystemCache& c, std::size_t i) {
+    const std::uint64_t block =
+        i % 7 == 0 && demanded.size() >= 3 ? demanded[demanded.size() - 3]
+                                           : fresh++;
+    demanded.push_back(block);
+    if (!c.access(block, AccessType::kRead).hit) {
+      if (ref.set.count(block) != 0) ++ref_pollution_misses;
+      c.fill(block, FillSource::kDemand);
+    }
+    c.fill(block + (1ull << 40), FillSource::kPrefetchTlp);
+    ref.track(block);
+  };
+  constexpr std::size_t kFirst = RefPollutionFilter::kCap + 4000;
+  for (std::size_t i = 0; i < kFirst; ++i) step(cache, i);
+  ASSERT_GT(ref.wraps_over_duplicate, 0u);
+  ASSERT_GT(ref_pollution_misses, 0u);
+  EXPECT_EQ(cache.stats().pollution_misses, ref_pollution_misses);
+  const auto bytes = cache_bytes(cache);
+  EXPECT_TRUE(ends_with(bytes, ref.encoding()));
+
+  // save -> load -> save is byte-identical, and the restored filter keeps
+  // tracking in lockstep with the reference.
+  SystemCache restored(config);
+  snapshot::Reader r(bytes);
+  restored.load_state(r);
+  r.require_end();
+  ASSERT_EQ(cache_bytes(restored), bytes);
+  for (std::size_t i = kFirst; i < kFirst + 3000; ++i) step(restored, i);
+  EXPECT_EQ(restored.stats().pollution_misses, ref_pollution_misses);
+  EXPECT_TRUE(ends_with(cache_bytes(restored), ref.encoding()));
 }
 
 TEST(SystemCache, IsUnusedPrefetchLifecycle) {

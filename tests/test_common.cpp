@@ -257,28 +257,6 @@ TEST(LruTable, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(t.find(2), nullptr);
 }
 
-TEST(LruTable, EraseReturnsPayload) {
-  LruTable<int, int> t(2);
-  t.insert(5, 55);
-  const auto erased = t.erase(5);
-  ASSERT_TRUE(erased.has_value());
-  EXPECT_EQ(*erased, 55);
-  EXPECT_EQ(t.find(5), nullptr);
-  EXPECT_FALSE(t.erase(5).has_value());
-}
-
-TEST(LruTable, EvictIfRemovesMatching) {
-  LruTable<int, int> t(4);
-  for (int i = 0; i < 4; ++i) t.insert(i, i * 10);
-  std::vector<int> evicted;
-  t.evict_if([](int k, const int&) { return k % 2 == 0; },
-             [&](int k, int&&) { evicted.push_back(k); });
-  EXPECT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.find(0), nullptr);
-  EXPECT_NE(t.find(1), nullptr);
-}
-
 TEST(LruTable, PeekDoesNotRefreshLru) {
   LruTable<int, int> t(2);
   t.insert(1, 10);

@@ -206,6 +206,42 @@ TEST_F(IoFaultTest, AppendLineDegradesToFalseUnderEveryFaultClass) {
   EXPECT_TRUE(io::append_line(path("traj.json"), "{\"n\":-1}\n"));
 }
 
+TEST_F(IoFaultTest, FaultTargetsArePinnedForOneFixedPlan) {
+  // The torn-write cut points and rotted bit indices a fixed plan draws are
+  // part of every storm drill's outcome, so any change to the shim's
+  // generator or seeding must show here. The values were recorded from the
+  // shim's earlier private xoshiro copy, which common's Rng replaced.
+  const std::vector<std::uint8_t> zeros(1000, 0);
+  io::write_file_durable(path("clean.bin"), zeros);
+  io::IoFaultPlan plan;
+  plan.seed = 0x5EED7042;
+  plan.rate[static_cast<int>(io::IoFaultClass::kTornWrite)] = 1.0;
+  plan.rate[static_cast<int>(io::IoFaultClass::kBitRot)] = 1.0;
+  io::IoFaultInjector shim(plan);
+  std::vector<std::uintmax_t> torn_sizes;
+  std::vector<std::size_t> rotted_bits;
+  {
+    io::ScopedFaultInjector armed(&shim);
+    for (int i = 0; i < 6; ++i) {
+      io::write_file_durable(path("torn.bin"), zeros);
+      torn_sizes.push_back(fs::file_size(path("torn.bin")));
+    }
+    for (int i = 0; i < 6; ++i) {
+      const std::vector<std::uint8_t> got = io::read_file(path("clean.bin"));
+      ASSERT_EQ(got.size(), zeros.size());
+      for (std::size_t bit = 0; bit < got.size() * 8; ++bit) {
+        if (((got[bit / 8] >> (bit % 8)) & 1u) != 0) rotted_bits.push_back(bit);
+      }
+    }
+  }
+  EXPECT_EQ(torn_sizes,
+            (std::vector<std::uintmax_t>{946, 757, 439, 907, 57, 654}));
+  EXPECT_EQ(rotted_bits,
+            (std::vector<std::size_t>{2939, 5938, 358, 6930, 5003, 4672}));
+  EXPECT_EQ(shim.injected(io::IoFaultClass::kTornWrite), 6u);
+  EXPECT_EQ(shim.injected(io::IoFaultClass::kBitRot), 6u);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint recovery chain under injected storms
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -683,6 +684,17 @@ void write_le64(std::vector<std::uint8_t>& buf, std::size_t at,
   }
 }
 
+/// Offset just past the first `tag` in `buf`.
+std::size_t after_tag(const std::vector<std::uint8_t>& buf,
+                      std::uint32_t tag) {
+  snapshot::Writer needle;
+  needle.tag(tag);
+  const auto it = std::search(buf.begin(), buf.end(), needle.buffer().begin(),
+                              needle.buffer().end());
+  EXPECT_NE(it, buf.end());
+  return static_cast<std::size_t>(it - buf.begin()) + 4;
+}
+
 /// One valid-slot record of a table section: where its key sits in the
 /// buffer, its slot index and its key.
 struct SlotRecord {
@@ -698,13 +710,7 @@ std::vector<SlotRecord> slot_records(const std::vector<std::uint8_t>& buf,
                                      std::uint32_t tag,
                                      std::size_t header_bytes,
                                      std::size_t tail_bytes) {
-  snapshot::Writer needle;
-  needle.tag(tag);
-  const auto it = std::search(buf.begin(), buf.end(), needle.buffer().begin(),
-                              needle.buffer().end());
-  if (it == buf.end()) return {};
-  std::size_t at = static_cast<std::size_t>(it - buf.begin()) + 4 +
-                   header_bytes;
+  std::size_t at = after_tag(buf, tag) + header_bytes;
   const std::uint64_t count = read_le64(buf, at);
   at += 8;
   std::vector<SlotRecord> out;
@@ -724,10 +730,11 @@ std::optional<std::size_t> first_same_set_pair(
   return std::nullopt;
 }
 
-void expect_restore_rejects(const std::vector<std::uint8_t>& bytes,
-                            const trace::TraceBatch& t,
-                            const std::string& reason) {
-  auto fresh = warmed(sim::PrefetcherKind::kPlanaria, t, 0);
+void expect_restore_rejects(
+    const std::vector<std::uint8_t>& bytes, const trace::TraceBatch& t,
+    const std::string& reason,
+    sim::PrefetcherKind kind = sim::PrefetcherKind::kPlanaria) {
+  auto fresh = warmed(kind, t, 0);
   snapshot::Reader r(bytes);
   try {
     fresh->load_state(r);
@@ -738,12 +745,14 @@ void expect_restore_rejects(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-/// Planaria snapshot after 5000 of `t`'s records; checks it loads unpatched.
-std::vector<std::uint8_t> real_snapshot(const trace::TraceBatch& t) {
-  const auto original = warmed(sim::PrefetcherKind::kPlanaria, t, 5000);
+/// Snapshot after 5000 of `t`'s records; checks it loads unpatched.
+std::vector<std::uint8_t> real_snapshot(
+    const trace::TraceBatch& t,
+    sim::PrefetcherKind kind = sim::PrefetcherKind::kPlanaria) {
+  const auto original = warmed(kind, t, 5000);
   snapshot::Writer w;
   original->save_state(w);
-  auto fresh = warmed(sim::PrefetcherKind::kPlanaria, t, 0);
+  auto fresh = warmed(kind, t, 0);
   snapshot::Reader r(w.buffer());
   fresh->load_state(r);
   r.require_end();
@@ -798,6 +807,101 @@ TEST(SnapshotRestore, SetTableRejectsKeysASetScanCannotFind) {
     auto bytes = real;
     write_le64(bytes, ft[*ft_pair + 1].key_at, ft[*ft_pair].key);
     expect_restore_rejects(bytes, t, "set table key duplicated within its set");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Keys a hash shadow cannot hold: LruTable (SPP's signature table) and TLP's
+// Recent Page Table index their valid entries by key, one slot per key, and
+// the SC pollution set is a membership set. A restore must reject a key
+// valid in two slots (its twin would be unreachable) and pollution members
+// that are not the strictly ascending list the writer emits.
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotRestore, LruTableRejectsAKeyRepeatedAcrossSlots) {
+  const trace::TraceBatch t(test_trace(6000));
+  const auto kind = sim::PrefetcherKind::kSpp;
+  const std::vector<std::uint8_t> real = real_snapshot(t, kind);
+  // SPP signature table (first table after SPP0): u64 tick, u64 count, then
+  // (slot, key, last_use, u16 signature, i64 last offset).
+  const auto st = slot_records(real, snapshot::tag4("SPP0"), 8, 8 + 2 + 8);
+  ASSERT_GE(st.size(), 2u);
+  auto bytes = real;
+  write_le64(bytes, st[1].key_at, st[0].key);
+  expect_restore_rejects(bytes, t, "lru table key repeated across slots", kind);
+}
+
+TEST(SnapshotRestore, TlpRejectsAPageValidInTwoSlots) {
+  const trace::TraceBatch t(test_trace(6000));
+  const std::vector<std::uint8_t> real = real_snapshot(t);
+  // TLP0: u64 slot count, then per slot a valid byte and, when valid,
+  // (u64 page, u16 bitmap, u64 last_use, ceil(slots/8) Ref-row bytes).
+  std::size_t at = after_tag(real, snapshot::tag4("TLP0"));
+  const std::uint64_t slots = read_le64(real, at);
+  at += 8;
+  const std::size_t row_bytes = static_cast<std::size_t>((slots + 7) / 8);
+  std::vector<std::size_t> page_at;
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    const bool valid = real.at(at) != 0;
+    at += 1;
+    if (!valid) continue;
+    page_at.push_back(at);
+    at += 8 + 2 + 8 + row_bytes;
+  }
+  ASSERT_GE(page_at.size(), 2u);
+  auto bytes = real;
+  write_le64(bytes, page_at[1], read_le64(real, page_at[0]));
+  expect_restore_rejects(bytes, t, "RPT page valid in two slots");
+}
+
+TEST(SnapshotRestore, CacheRejectsPollutionMembersOutOfOrder) {
+  // 64 KB slices fill within the run, so prefetch fills evict demand lines
+  // and the pollution set has members to patch.
+  sim::SimConfig config;
+  config.cache.size_bytes = 1 << 16;
+  const trace::TraceBatch t(test_trace(6000));
+  const auto kind = sim::PrefetcherKind::kPlanaria;
+  snapshot::Writer w;
+  warmed(kind, t, 5000, config)->save_state(w);
+  const std::vector<std::uint8_t>& real = w.buffer();
+  const auto restore = [&](const std::vector<std::uint8_t>& bytes) {
+    auto fresh = warmed(kind, t, 0, config);
+    snapshot::Reader r(bytes);
+    fresh->load_state(r);
+    r.require_end();
+  };
+  ASSERT_NO_THROW(restore(real));
+  // CSH0: u64 valid-line count and 19-byte line records, the LRU policy
+  // (RLRU, u64 tick, one u64 stamp per line), 14 u64 counters, the
+  // pollution FIFO (u64 size, entries, u64 head), then the membership set
+  // (u64 size, members ascending).
+  const std::uint64_t lines =
+      config.cache.sets() * static_cast<std::uint64_t>(config.cache.ways);
+  std::size_t at = after_tag(real, snapshot::tag4("CSH0"));
+  at += 8 + 19 * static_cast<std::size_t>(read_le64(real, at));
+  ASSERT_EQ(read_le64(real, at) & 0xFFFFFFFFu, snapshot::tag4("RLRU"));
+  at += 4 + 8 + 8 * static_cast<std::size_t>(lines) + 14 * 8;
+  at += 8 + 8 * static_cast<std::size_t>(read_le64(real, at)) + 8;
+  const std::uint64_t members = read_le64(real, at);
+  at += 8;
+  ASSERT_GE(members, 2u);
+  const std::uint64_t first = read_le64(real, at);
+  const std::uint64_t second = read_le64(real, at + 8);
+  ASSERT_LT(first, second);
+  for (const auto& [a, b] :
+       {std::pair{first, first}, std::pair{second, first}}) {
+    auto bytes = real;
+    write_le64(bytes, at, a);
+    write_le64(bytes, at + 8, b);
+    try {
+      restore(bytes);
+      ADD_FAILURE() << "restore accepted pollution members " << a << ", " << b;
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "pollution set members not strictly ascending"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
